@@ -31,7 +31,7 @@ use crate::experiment::{
     combine_median3, measure_from_trace, measure_with_device_config,
     measure_with_device_config_recording, run_seed, Measurement, MedianMeasurement,
 };
-use crate::tracedb::{trace_key, TraceDb};
+use crate::tracedb::{trace_key, StoredTrace, TraceDb};
 use gpower::{PowerError, Reading};
 use kepler_sim::{ClockConfig, DeviceConfig, KernelCounters};
 use rayon::prelude::*;
@@ -462,6 +462,25 @@ impl CampaignState {
     }
 }
 
+/// The launch trace shared by the units of one [`Campaign::sweep`]. Sweep
+/// points differ only in clocks, so they share one trace identity (the
+/// memory model is the same at every point) and one decoded trace serves
+/// them all. Only a successful load is kept: a miss or a defective trace
+/// is retried by the next unit, which finds the trace the first unit's
+/// functional run recorded.
+#[derive(Default)]
+struct SweepTrace(Mutex<Option<Arc<StoredTrace>>>);
+
+impl SweepTrace {
+    fn load(&self, db: &TraceDb, tkey: &str) -> Option<Arc<StoredTrace>> {
+        let mut held = self.0.lock().expect("sweep trace lock poisoned");
+        if held.is_none() {
+            *held = db.load(tkey).map(Arc::new);
+        }
+        held.clone()
+    }
+}
+
 /// The shared measurement campaign: every table and figure generator pulls
 /// its readings from one of these, so `repro all` performs each unique
 /// simulation exactly once and a warm-cache re-run simulates nothing.
@@ -578,7 +597,14 @@ impl Campaign {
         rep: u64,
     ) -> Result<Measurement, PowerError> {
         let ckey = canonical_key_parts(bench.spec().key, input, config.name(), rep);
-        self.resolve_unit(ckey, bench, input, config.device_config(), rep)
+        self.resolve_unit(
+            ckey,
+            bench,
+            input,
+            config.device_config(),
+            rep,
+            &SweepTrace::default(),
+        )
     }
 
     /// One unit of a clock sweep, memoized under the point's cache tag.
@@ -593,8 +619,19 @@ impl Campaign {
         point: SweepPoint,
         rep: u64,
     ) -> Result<Measurement, PowerError> {
+        self.sweep_point_in(bench, input, point, rep, &SweepTrace::default())
+    }
+
+    fn sweep_point_in(
+        &self,
+        bench: &dyn Benchmark,
+        input: &InputSpec,
+        point: SweepPoint,
+        rep: u64,
+        trace: &SweepTrace,
+    ) -> Result<Measurement, PowerError> {
         let ckey = canonical_key_parts(bench.spec().key, input, &point.cache_tag(), rep);
-        self.resolve_unit(ckey, bench, input, point.device_config(), rep)
+        self.resolve_unit(ckey, bench, input, point.device_config(), rep, trace)
     }
 
     /// The trace identity of a campaign unit: no clock/ECC configuration,
@@ -612,7 +649,8 @@ impl Campaign {
     /// Resolve one unit under an explicit device configuration, with the
     /// trace DB (when configured) consulted between the record caches and
     /// functional execution: memo -> disk -> **trace replay** -> simulate
-    /// (recording a trace for next time).
+    /// (recording a trace for next time). The trace comes from `trace`
+    /// when an earlier unit of the same sweep already loaded it.
     fn resolve_unit(
         &self,
         ckey: String,
@@ -620,6 +658,7 @@ impl Campaign {
         input: &InputSpec,
         cfg: DeviceConfig,
         rep: u64,
+        trace: &SweepTrace,
     ) -> Result<Measurement, PowerError> {
         let key = bench.spec().key;
         self.resolve(
@@ -637,7 +676,7 @@ impl Campaign {
             },
             || {
                 let db = self.trace_db.as_ref()?;
-                let st = db.load(&Self::unit_trace_key(bench, input, &cfg))?;
+                let st = trace.load(db, &Self::unit_trace_key(bench, input, &cfg))?;
                 Some(measure_from_trace(key, input, cfg.clone(), rep, &st))
             },
         )
@@ -645,22 +684,23 @@ impl Campaign {
 
     /// A sweep-point reading at the requested repetition count, mirroring
     /// [`Campaign::reading`]'s median-of-three / quick split.
-    pub fn sweep_reading(
+    fn sweep_reading(
         &self,
         bench: &dyn Benchmark,
         input: &InputSpec,
         point: SweepPoint,
         reps: u64,
+        trace: &SweepTrace,
     ) -> Result<Reading, PowerError> {
         if reps >= 3 {
             let runs = [
-                self.run_sweep_point(bench, input, point, 0)?,
-                self.run_sweep_point(bench, input, point, 1)?,
-                self.run_sweep_point(bench, input, point, 2)?,
+                self.sweep_point_in(bench, input, point, 0, trace)?,
+                self.sweep_point_in(bench, input, point, 1, trace)?,
+                self.sweep_point_in(bench, input, point, 2, trace)?,
             ];
             Ok(combine_median3(&runs).reading)
         } else {
-            self.run_sweep_point(bench, input, point, 0)
+            self.sweep_point_in(bench, input, point, 0, trace)
                 .map(|m| m.reading)
         }
     }
@@ -668,6 +708,8 @@ impl Campaign {
     /// Resolve every point of a sweep grid on the rayon pool. Returns
     /// `(point, outcome)` in grid order; unmeasurable points carry their
     /// error as a value (the 324-MHz-style exclusions survive a sweep).
+    /// The points share one trace identity, so the program's trace is read
+    /// and decoded once per sweep, not once per point.
     #[allow(clippy::type_complexity)]
     pub fn sweep(
         &self,
@@ -678,9 +720,10 @@ impl Campaign {
     ) -> Vec<(SweepPoint, Result<Reading, PowerError>)> {
         let total = grid.len() as u32;
         let progress = AtomicU64::new(0);
+        let trace = SweepTrace::default();
         grid.par_iter()
             .map(|&p| {
-                let res = self.sweep_reading(bench, input, p, reps);
+                let res = self.sweep_reading(bench, input, p, reps, &trace);
                 let done = progress.fetch_add(1, Ordering::Relaxed) as u32 + 1;
                 self.emit(Event::CampaignProgress {
                     t: self.wall(),
@@ -1143,6 +1186,7 @@ mod tests {
 
     #[test]
     fn campaign_median3_matches_direct_measurement_bitwise() {
+        let _serial = crate::serial();
         let dir = scratch_dir("roundtrip");
         let b = registry::by_key("sgemm").unwrap();
         let input = &b.inputs()[0];
@@ -1186,6 +1230,7 @@ mod tests {
 
     #[test]
     fn memo_hit_skips_simulation_and_is_counted() {
+        let _serial = crate::serial();
         let b = registry::by_key("sten").unwrap();
         let input = &b.inputs()[0];
         let c = Campaign::in_memory();
@@ -1200,6 +1245,7 @@ mod tests {
 
     #[test]
     fn stale_fingerprint_forces_rerun() {
+        let _serial = crate::serial();
         let dir = scratch_dir("stale");
         let b = registry::by_key("sten").unwrap();
         let input = &b.inputs()[0];
@@ -1223,6 +1269,7 @@ mod tests {
 
     #[test]
     fn truncated_record_forces_clean_rerun() {
+        let _serial = crate::serial();
         let dir = scratch_dir("truncated");
         let b = registry::by_key("sten").unwrap();
         let input = &b.inputs()[0];
@@ -1251,6 +1298,7 @@ mod tests {
 
     #[test]
     fn measurement_errors_are_cached_too() {
+        let _serial = crate::serial();
         // lbfs-wlw on its largest input is the paper's "too fast to
         // measure" case; the campaign must not re-simulate it on every
         // request (the 324-MHz sweep would otherwise never warm up).
@@ -1275,6 +1323,7 @@ mod tests {
 
     #[test]
     fn execute_deduplicates_the_plan() {
+        let _serial = crate::serial();
         let b = registry::by_key("sten").unwrap();
         let input = b.inputs()[0].clone();
         let c = Campaign::in_memory();
@@ -1292,6 +1341,7 @@ mod tests {
 
     #[test]
     fn flat_and_cached_units_never_collide_in_any_cache_layer() {
+        let _serial = crate::serial();
         let dir = scratch_dir("memmodel");
         let b = registry::by_key("sten").unwrap();
         let input = &b.inputs()[0];
@@ -1391,6 +1441,7 @@ mod tests {
     /// configuration's.
     #[test]
     fn sweep_point_on_ladder_matches_named_config_bitwise() {
+        let _serial = crate::serial();
         let p = SweepPoint {
             core_mhz: 614.0,
             mem_mhz: 2600.0,
@@ -1469,6 +1520,7 @@ mod tests {
     /// Sweep records persist and round-trip like named-config records.
     #[test]
     fn sweep_records_round_trip_through_disk_cache() {
+        let _serial = crate::serial();
         let dir = scratch_dir("sweep");
         let b = registry::by_key("sten").unwrap();
         let input = &b.inputs()[0];
@@ -1488,10 +1540,102 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn sweeps_bit_identical(
+        a: &[(SweepPoint, Result<Reading, PowerError>)],
+        b: &[(SweepPoint, Result<Reading, PowerError>)],
+    ) {
+        assert_eq!(a.len(), b.len());
+        for ((pa, ra), (pb, rb)) in a.iter().zip(b) {
+            assert_eq!(pa, pb);
+            match (ra, rb) {
+                (Ok(x), Ok(y)) => assert!(readings_bit_identical(x, y), "{pa:?}"),
+                (Err(x), Err(y)) => assert_eq!(x, y, "{pa:?}"),
+                _ => panic!("{pa:?}: one side measured, the other did not"),
+            }
+        }
+    }
+
+    fn trace_campaign(traces: &Path) -> Campaign {
+        Campaign::new(CampaignConfig {
+            trace_dir: Some(traces.to_path_buf()),
+            ..CampaignConfig::default()
+        })
+    }
+
+    /// A sweep reads its program's trace once and shares it across the
+    /// points; the readings are bit-identical to resolving every point on
+    /// its own, each with its own trace load.
+    #[test]
+    fn sweep_sharing_one_trace_matches_per_point_runs() {
+        let _serial = crate::serial();
+        let traces = scratch_dir("sweep-traces");
+        let b = registry::by_key("sten").unwrap();
+        let input = &b.inputs()[0];
+        trace_campaign(&traces)
+            .run(b.as_ref(), input, GpuConfigKind::Default, 0)
+            .unwrap();
+        let grid = sweep_grid(&[400.0, 555.5, 705.0], &[324.0, 2600.0]);
+
+        let swept = trace_campaign(&traces);
+        let sweep = swept.sweep(b.as_ref(), input, &grid, 1);
+        let single = trace_campaign(&traces);
+        let points: Vec<_> = grid
+            .iter()
+            .map(|&p| {
+                let res = single.run_sweep_point(b.as_ref(), input, p, 0);
+                (p, res.map(|m| m.reading))
+            })
+            .collect();
+        sweeps_bit_identical(&sweep, &points);
+        for s in [swept.stats(), single.stats()] {
+            assert_eq!(
+                (s.simulated, s.trace_replays),
+                (0, grid.len() as u64),
+                "{s}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&traces);
+    }
+
+    /// Only a successful trace load is shared: a cold sweep over an empty
+    /// trace directory simulates until a point has recorded the trace —
+    /// at most once per pool thread — and replays every other point.
+    #[test]
+    fn cold_sweep_simulates_at_most_once_per_pool_thread() {
+        let _serial = crate::serial();
+        let traces = scratch_dir("cold-sweep-traces");
+        let b = registry::by_key("sten").unwrap();
+        let input = &b.inputs()[0];
+        let grid = sweep_grid(&[400.0, 500.0, 600.0, 705.0], &[2600.0]);
+        // The pool size the rayon shim uses.
+        let threads = std::env::var("SIM_PAR_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&v| v > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .min(grid.len());
+
+        let cold = trace_campaign(&traces);
+        let sweep = cold.sweep(b.as_ref(), input, &grid, 1);
+        let s = cold.stats();
+        assert!(
+            (1..=threads as u64).contains(&s.simulated),
+            "{s} with {threads} pool threads"
+        );
+        assert_eq!(s.simulated + s.trace_replays, grid.len() as u64, "{s}");
+
+        // The recorded trace replays every point to the same readings.
+        let warm = trace_campaign(&traces);
+        sweeps_bit_identical(&sweep, &warm.sweep(b.as_ref(), input, &grid, 1));
+        assert_eq!(warm.stats().simulated, 0);
+        let _ = std::fs::remove_dir_all(&traces);
+    }
+
     /// `stats()` exposes the cached-error count and the live in-flight
     /// gauge (zero at rest).
     #[test]
     fn stats_report_cached_errors_and_in_flight() {
+        let _serial = crate::serial();
         let b = registry::by_key("lbfs-wlw").unwrap();
         let input = b.inputs().last().unwrap().clone();
         let c = Campaign::in_memory();

@@ -172,6 +172,7 @@ mod tests {
     /// the run to within the thermal/jitter envelope.
     #[test]
     fn breakdown_reconciles_for_every_energy_set_workload() {
+        let _serial = crate::serial();
         let c = Campaign::in_memory();
         let rows = energy_breakdown(&c, 1);
         assert_eq!(rows.len(), ENERGY_SET.len());
@@ -196,6 +197,7 @@ mod tests {
     /// error is tight.
     #[test]
     fn sampling_error_improves_with_rate() {
+        let _serial = crate::serial();
         let c = Campaign::in_memory();
         let rows = sampling_error(&c, 1);
         assert_eq!(rows.len(), study_policies().len());

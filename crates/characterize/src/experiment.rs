@@ -387,6 +387,7 @@ mod tests {
 
     #[test]
     fn measure_nb_produces_sane_reading() {
+        let _serial = crate::serial();
         let b = registry::by_key("nb").unwrap();
         let input = &b.inputs()[0];
         let m = measure(b.as_ref(), input, GpuConfigKind::Default, 0).unwrap();
@@ -397,6 +398,7 @@ mod tests {
 
     #[test]
     fn repetitions_differ_but_only_slightly() {
+        let _serial = crate::serial();
         let b = registry::by_key("sten").unwrap();
         let input = &b.inputs()[0];
         let a = measure(b.as_ref(), input, GpuConfigKind::Default, 0).unwrap();
@@ -414,6 +416,7 @@ mod tests {
 
     #[test]
     fn median3_variability_is_reported() {
+        let _serial = crate::serial();
         let b = registry::by_key("sgemm").unwrap();
         let input = &b.inputs()[0];
         let m = measure_median3(b.as_ref(), input, GpuConfigKind::Default, 0).unwrap();
@@ -423,6 +426,7 @@ mod tests {
 
     #[test]
     fn traced_measurement_matches_untraced_and_reconciles() {
+        let _serial = crate::serial();
         let b = registry::by_key("sten").unwrap();
         let input = &b.inputs()[0];
         let plain = measure(b.as_ref(), input, GpuConfigKind::Default, 0).unwrap();
@@ -452,6 +456,7 @@ mod tests {
 
     #[test]
     fn traced_measurement_survives_a_tiny_ring_buffer() {
+        let _serial = crate::serial();
         let b = registry::by_key("sten").unwrap();
         let input = &b.inputs()[0];
         let traced = measure_traced(b.as_ref(), input, GpuConfigKind::Default, 0, 64);
@@ -485,6 +490,7 @@ mod tests {
     /// `energy_j / active_runtime_s`, not an independently-taken median.
     #[test]
     fn median3_reading_is_internally_consistent() {
+        let _serial = crate::serial();
         let b = registry::by_key("sgemm").unwrap();
         let input = &b.inputs()[0];
         let m = measure_median3(b.as_ref(), input, GpuConfigKind::Default, 0).unwrap();

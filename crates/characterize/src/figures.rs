@@ -326,6 +326,7 @@ mod tests {
 
     #[test]
     fn power_profile_has_idle_and_active_phases() {
+        let _serial = crate::serial();
         let p = power_profile("sgemm");
         assert!(p.samples.len() > 30);
         assert!(p.threshold_w > p.idle_w);
@@ -336,6 +337,7 @@ mod tests {
 
     #[test]
     fn ratio_figure_smoke_single_suite() {
+        let _serial = crate::serial();
         // Tiny smoke test: one pass (reps=1) would still take a while over
         // all programs, so just exercise the plumbing through measure() on
         // a couple of programs via the public API instead.

@@ -43,3 +43,13 @@ pub use sanity::{
     measure_traced_checked, sanitize_run, sanitize_run_raw, workload_allowlist, SanitizedRun,
 };
 pub use tracedb::{trace_key, StoredTrace, TraceDb, TRACE_FORMAT};
+
+/// Serializes this crate's tests that create simulated devices.
+/// `kepler_sim::devices_created()` is process-global, so a test that
+/// witnesses "no simulation happened" between two reads of it would
+/// otherwise count a sibling test's devices.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

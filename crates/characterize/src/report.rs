@@ -492,6 +492,7 @@ mod tests {
 
     #[test]
     fn phase_breakdown_renders_all_phases_and_lanes() {
+        let _serial = crate::serial();
         use crate::configs::GpuConfigKind;
         use crate::experiment::measure_traced;
         use workloads::registry;

@@ -101,6 +101,7 @@ mod tests {
 
     #[test]
     fn clean_workloads_sanitize_clean() {
+        let _serial = crate::serial();
         // No-false-positive gate: hazard-free workloads must stay clean
         // under the correctness checkers with no allowlist at all.
         for key in ["sgemm", "fft", "md"] {
@@ -119,6 +120,7 @@ mod tests {
 
     #[test]
     fn checked_trace_carries_findings_and_matches_plain_reading() {
+        let _serial = crate::serial();
         let b = registry::by_key("sten").unwrap();
         let input = &b.inputs()[0];
         let (traced, report) = measure_traced_checked(

@@ -6,6 +6,10 @@
 //! clock/ECC configuration and repetition. These tests sweep that claim
 //! across the full registry, and verify that a damaged trace store always
 //! degrades to a clean functional re-run, never to a wrong answer.
+//!
+//! `kepler_sim::devices_created()` is process-global, so every test takes
+//! `serial()`: the simulation-count witnesses would otherwise observe each
+//! other's devices.
 
 use characterize::campaign::{Campaign, CampaignConfig};
 use characterize::experiment::{
@@ -15,7 +19,14 @@ use characterize::experiment::{
 use characterize::GpuConfigKind;
 use gpower::PowerError;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 use workloads::registry;
+
+static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gpgpu-trace-it-{}-{tag}", std::process::id()));
@@ -108,6 +119,7 @@ fn assert_result_bitwise_eq(
 /// trace serves foreign configurations, not just the one that recorded it.
 #[test]
 fn recorded_traces_replay_bit_identically_across_configs() {
+    let _guard = serial();
     let mut eligible = Vec::new();
     let mut ineligible = Vec::new();
     for b in registry::all().iter().chain(registry::variants().iter()) {
@@ -159,6 +171,7 @@ fn recorded_traces_replay_bit_identically_across_configs() {
 /// wrote, so replay warms the record cache indistinguishably.
 #[test]
 fn campaign_replays_from_traces_and_warms_identical_records() {
+    let _guard = serial();
     let cache_a = scratch_dir("camp-cold");
     let cache_b = scratch_dir("camp-warm");
     let traces = scratch_dir("camp-traces");
@@ -229,6 +242,7 @@ fn campaign_replays_from_traces_and_warms_identical_records() {
 /// replays its *own* trace in the same directory.
 #[test]
 fn traces_never_cross_memory_models() {
+    let _guard = serial();
     let traces = scratch_dir("memmodel-traces");
     let b = registry::by_key("sgemm").unwrap();
     let input = &b.inputs()[0];
@@ -283,6 +297,7 @@ fn traces_never_cross_memory_models() {
 /// the store heals.
 #[test]
 fn damaged_traces_degrade_to_functional_reruns() {
+    let _guard = serial();
     let traces = scratch_dir("dur-traces");
     let b = registry::by_key("sten").unwrap();
     let input = &b.inputs()[0];

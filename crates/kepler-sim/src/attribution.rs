@@ -23,8 +23,8 @@ use crate::device::{LEAD_IN_S, LEAD_OUT_S, TAIL_DECAY_S};
 use crate::ops::CompClass;
 use gpower::{ClassActivity, EnergyBreakdown, EnergyModel, PhaseDurations};
 
-/// The scheduler's memory-side energy multiplier under ECC.
-/// Mirrors `run_launch_pooled`; kept equal by a test below.
+/// The memory-side energy multiplier under ECC. The scheduler
+/// (`run_launch_pooled`) and this module's energy model both use it.
 pub const ECC_ENERGY_FACTOR: f64 = 1.25;
 
 /// Build the per-class energy model of a device configuration, at nominal

@@ -400,6 +400,11 @@ pub fn decode_launch(buf: &[u8]) -> Option<LaunchTrace> {
         .iter()
         .map(cost_from_words)
         .collect::<Option<Vec<_>>>()?;
+    // Every block of a launch has the launch's width in warps, which the
+    // scheduler requires; a record that mixes warp counts is corrupt.
+    if costs.windows(2).any(|w| w[0].warps != w[1].warps) {
+        return None;
+    }
     Some(LaunchTrace {
         kernel,
         params,
@@ -507,6 +512,10 @@ mod tests {
         assert!(decode_launch(&wrong).is_none());
         // Empty input fails.
         assert!(decode_launch(&[]).is_none());
+        // Blocks that disagree on their warp count fail.
+        let mut mixed = sample_launch(9);
+        mixed.costs[4].warps = 5;
+        assert!(decode_launch(&encode_launch(&mixed)).is_none());
     }
 
     /// Parallel-safe saxpy for recording tests.

@@ -1,11 +1,22 @@
 //! End-to-end checks of the measurement campaign's caching: a warm cache
 //! must reproduce artifacts byte-for-byte without touching the simulator.
+//!
+//! `kepler_sim::devices_created()` is process-global, so every test takes
+//! `serial()`: the simulation-count witnesses would otherwise observe each
+//! other's devices.
 
 use characterize::campaign::{plan_artifacts, Artifact, Campaign, CampaignConfig};
 use characterize::figures::input_power_figure;
 use characterize::report::{render_fig5, render_table4};
 use characterize::tables::table4;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
+
+static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gpgpu-campaign-it-{}-{tag}", std::process::id()));
@@ -23,6 +34,7 @@ fn disk_campaign(dir: &Path) -> Campaign {
 
 #[test]
 fn table4_renders_byte_identical_cold_vs_warm() {
+    let _guard = serial();
     let dir = scratch_dir("table4");
 
     // Cold: everything is simulated and persisted.
@@ -48,6 +60,7 @@ fn table4_renders_byte_identical_cold_vs_warm() {
 
 #[test]
 fn prefetched_plan_leaves_no_misses_for_the_generators() {
+    let _guard = serial();
     // The repro flow: plan the artifact's matrix, execute it once, then let
     // the generator run — it must resolve entirely from the memo.
     let c = Campaign::in_memory();
