@@ -552,6 +552,17 @@ impl Campaign {
         }
     }
 
+    /// Whether the in-process memo holds `key`'s result or its cached
+    /// measurement error. Looks only in the memo: no disk probe, no wait
+    /// on an in-flight unit, no counter update.
+    pub fn is_memoized(&self, key: &str) -> bool {
+        self.state
+            .lock()
+            .expect("campaign state poisoned")
+            .memo
+            .contains_key(key)
+    }
+
     fn emit(&self, ev: Event) {
         if let Some(sink) = &self.telemetry {
             sink.record(ev);

@@ -174,8 +174,9 @@ impl TraceDb {
 
     /// Persist `st` under `tkey`. Best-effort, like the campaign cache: an
     /// unwritable directory silently degrades to record-nothing. Launch
-    /// records are content-addressed, so an already-present `.tlr` is never
-    /// rewritten and identical launches are shared across manifests.
+    /// records are content-addressed, so identical launches share one
+    /// `.tlr` across manifests; an existing record is rewritten only when
+    /// its bytes differ from the payload (a corrupt record heals).
     pub fn store(&self, tkey: &str, st: &StoredTrace) {
         if std::fs::create_dir_all(&self.dir).is_err() {
             return;
@@ -186,7 +187,8 @@ impl TraceDb {
             let hash = fnv1a64(&payload);
             hashes.push(hash);
             let path = self.launch_path(hash);
-            if !path.exists() && !self.write_atomic(&path, &payload) {
+            let intact = std::fs::read(&path).is_ok_and(|on_disk| on_disk == payload);
+            if !intact && !self.write_atomic(&path, &payload) {
                 return;
             }
         }
@@ -467,6 +469,29 @@ mod tests {
         std::fs::remove_file(&tlr).unwrap();
         assert!(db.load(&tkey).is_none());
         assert_eq!(db.corrupt(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn re_recording_heals_a_corrupt_launch_record() {
+        let dir = scratch_dir("tlr-heal");
+        let db = TraceDb::new(dir.clone(), 7);
+        let tkey = trace_key("s", "i", "flat");
+        let st = sample_stored();
+        db.store(&tkey, &st);
+        let tlr = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().map(|x| x == "tlr") == Some(true))
+            .unwrap();
+        let mut payload = std::fs::read(&tlr).unwrap();
+        let mid = payload.len() / 2;
+        payload[mid] ^= 0xff;
+        std::fs::write(&tlr, &payload).unwrap();
+        // The same trace recorded again rewrites the damaged record.
+        db.store(&tkey, &st);
+        assert_eq!(db.load(&tkey), Some(st));
+        assert_eq!(db.corrupt(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -758,7 +758,7 @@ pub fn parse_units_request(body: &[u8]) -> Result<Vec<Unit>, ApiError> {
                         ApiError::new(400, "invalid_config", "\"config\" must be a string")
                     })?;
                     UnitConfig::Named(
-                        GpuConfigKind::ALL
+                        GpuConfigKind::VARIANTS
                             .into_iter()
                             .find(|k| k.name().eq_ignore_ascii_case(name))
                             .ok_or_else(|| {
@@ -840,6 +840,7 @@ pub fn units_response(campaign: &Campaign, units: &[Unit]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_a_minimal_run_request() {
@@ -989,6 +990,92 @@ mod tests {
         let plan = artifact_units("table4", 1);
         assert!(!plan.is_empty());
         assert!(plan[0].cache_key().contains("|cfg="));
+    }
+
+    /// Every registry program, variants included, as `/v1/units` names it.
+    fn registry_benches() -> Vec<std::sync::Arc<dyn Benchmark>> {
+        registry::all()
+            .into_iter()
+            .chain(registry::variants())
+            .map(std::sync::Arc::from)
+            .collect()
+    }
+
+    /// A random unit: any registry workload and input, a named
+    /// configuration or a sweep point at in-range clocks, and rep 0–2.
+    fn arb_unit() -> impl Strategy<Value = Unit> {
+        (
+            0usize..1024,
+            0usize..1024,
+            0usize..=GpuConfigKind::VARIANTS.len(),
+            SWEEP_CORE_MHZ.0..SWEEP_CORE_MHZ.1,
+            SWEEP_MEM_MHZ.0..SWEEP_MEM_MHZ.1,
+            0u64..=2,
+        )
+            .prop_map(|(b, i, c, core_mhz, mem_mhz, rep)| {
+                let benches = registry_benches();
+                let bench = std::sync::Arc::clone(&benches[b % benches.len()]);
+                let inputs = bench.inputs();
+                let input = inputs[i % inputs.len()].clone();
+                let config = match GpuConfigKind::VARIANTS.get(c) {
+                    Some(&k) => UnitConfig::Named(k),
+                    None => UnitConfig::Sweep(SweepPoint { core_mhz, mem_mhz }),
+                };
+                Unit {
+                    bench,
+                    input,
+                    config,
+                    rep,
+                }
+            })
+    }
+
+    fn units_body(units: &[Unit]) -> String {
+        Json::obj([(
+            "units",
+            Json::Arr(units.iter().map(Unit::to_json).collect()),
+        )])
+        .dump()
+    }
+
+    proptest! {
+        #[test]
+        fn units_parser_survives_arbitrary_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            if let Err(e) = parse_units_request(&bytes) {
+                prop_assert!((400..500).contains(&e.status), "{e:?}");
+            }
+        }
+
+        #[test]
+        fn units_parser_survives_damaged_bodies(
+            units in proptest::collection::vec(arb_unit(), 1..4),
+            cut in 0usize..4096,
+            flips in proptest::collection::vec((0usize..4096, 0u8..=255), 0..4),
+        ) {
+            let mut bytes = units_body(&units).into_bytes();
+            for (at, b) in flips {
+                let at = at % bytes.len();
+                bytes[at] = b;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            if let Err(e) = parse_units_request(&bytes) {
+                prop_assert!((400..500).contains(&e.status), "{e:?}");
+            }
+        }
+
+        #[test]
+        fn units_round_trip_their_cache_keys(
+            units in proptest::collection::vec(arb_unit(), 1..8),
+        ) {
+            let parsed = parse_units_request(units_body(&units).as_bytes())
+                .unwrap_or_else(|e| panic!("{units:?}: {e:?}"));
+            prop_assert_eq!(parsed.len(), units.len());
+            for (a, b) in units.iter().zip(&parsed) {
+                prop_assert_eq!(a.cache_key(), b.cache_key());
+            }
+        }
     }
 
     /// End-to-end through the campaign: a real run response with the

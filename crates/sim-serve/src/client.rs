@@ -5,9 +5,9 @@
 //! requests over it back-to-back, reconnecting transparently when the
 //! server has closed the idle connection in the meantime. `loadgen` holds
 //! one client per concurrency slot, and the dispatcher
-//! ([`crate::dispatch`]) holds one per worker — both get connection setup
-//! out of the per-request path, which is what lifts warm throughput from
-//! ~2k rps (close-per-request) past 10k rps.
+//! ([`crate::dispatch`]) keeps a pool of them per worker across requests —
+//! both get connection setup out of the per-request path, which is what
+//! lifts warm throughput from ~2k rps (close-per-request) past 10k rps.
 //!
 //! Framing rules (mirror the server's): a response is delimited by
 //! `Content-Length` when present, by chunked encoding when declared, and
@@ -128,18 +128,21 @@ impl HttpClient {
             Some(c) => c,
             None => self.dial()?,
         };
-        match try_request(&mut conn, method, path, body, self.keepalive) {
-            Ok(resp) => Ok(self.finish(conn, resp)),
+        match send(&mut conn, method, path, body, self.keepalive) {
+            Ok(()) => {}
             // Stale reuse: the server closed an idle keep-alive connection
             // under us and no response byte arrived. Retry once, fresh.
             Err(e) if conn.used && e.kind() != io::ErrorKind::TimedOut => {
                 self.stats.stale_retries += 1;
-                let mut fresh = self.dial()?;
-                let resp = try_request(&mut fresh, method, path, body, self.keepalive)?;
-                Ok(self.finish(fresh, resp))
+                conn = self.dial()?;
+                send(&mut conn, method, path, body, self.keepalive)?;
             }
-            Err(e) => Err(e),
+            Err(e) => return Err(e),
         }
+        // Past the first response byte a failure is surfaced, never
+        // retried: the request may have executed.
+        let resp = read_response(&mut conn.reader)?;
+        Ok(self.finish(conn, resp))
     }
 
     /// Book-keeping after a completed exchange: count it, keep or retire
@@ -160,14 +163,9 @@ impl HttpClient {
     }
 }
 
-/// Send one request on `conn` and parse the response.
-fn try_request(
-    conn: &mut Conn,
-    method: &str,
-    path: &str,
-    body: &[u8],
-    keepalive: bool,
-) -> io::Result<ClientResponse> {
+/// Send one request on `conn` and wait for the first response byte. An
+/// error here means no byte of the response arrived.
+fn send(conn: &mut Conn, method: &str, path: &str, body: &[u8], keepalive: bool) -> io::Result<()> {
     write!(
         conn.writer,
         "{method} {path} HTTP/1.1\r\nHost: localhost\r\nConnection: {}\r\nContent-Length: {}\r\n\r\n",
@@ -176,7 +174,13 @@ fn try_request(
     )?;
     conn.writer.write_all(body)?;
     conn.writer.flush()?;
-    read_response(&mut conn.reader)
+    if conn.reader.fill_buf()?.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed before the response",
+        ));
+    }
+    Ok(())
 }
 
 /// Parse one response: status line, headers, then the framed body.
@@ -268,6 +272,26 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    /// Consume one request: headers, then a `Content-Length` body.
+    fn read_request(reader: &mut BufReader<TcpStream>) {
+        let mut len = 0usize;
+        loop {
+            let line = read_crlf_line(reader).unwrap();
+            if let Some(v) = line
+                .to_ascii_lowercase()
+                .strip_prefix("content-length:")
+                .map(str::trim)
+            {
+                len = v.parse().unwrap();
+            }
+            if line.is_empty() {
+                break;
+            }
+        }
+        let mut body = vec![0u8; len];
+        reader.read_exact(&mut body).unwrap();
+    }
+
     /// A tiny echo server speaking enough HTTP to exercise framing: each
     /// accepted connection answers `count` requests keep-alive then closes.
     fn serve_n(count: usize) -> SocketAddr {
@@ -279,23 +303,7 @@ mod tests {
                 let mut reader = BufReader::new(stream.try_clone().unwrap());
                 let mut writer = stream;
                 for i in 0..count {
-                    // Consume the request (headers + Content-Length body).
-                    let mut len = 0usize;
-                    loop {
-                        let line = read_crlf_line(&mut reader).unwrap();
-                        if let Some(v) = line
-                            .to_ascii_lowercase()
-                            .strip_prefix("content-length:")
-                            .map(str::trim)
-                        {
-                            len = v.parse().unwrap();
-                        }
-                        if line.is_empty() {
-                            break;
-                        }
-                    }
-                    let mut body = vec![0u8; len];
-                    reader.read_exact(&mut body).unwrap();
+                    read_request(&mut reader);
                     let reply = format!("hit {i}");
                     let last = i + 1 == count;
                     write!(
@@ -310,6 +318,28 @@ mod tests {
         });
         addr
     }
+
+    /// A server that follows a script: one entry per accepted connection,
+    /// one reply per request read on it, written verbatim. A connection
+    /// closes after its script, and the listener after the last one.
+    fn scripted(conns: Vec<Vec<&'static str>>) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for replies in conns {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = stream;
+                for reply in replies {
+                    read_request(&mut reader);
+                    writer.write_all(reply.as_bytes()).unwrap();
+                }
+            }
+        });
+        addr
+    }
+
+    const OK: &str = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
 
     #[test]
     fn reuses_one_connection_across_requests() {
@@ -364,5 +394,33 @@ mod tests {
         let mut client = HttpClient::new(addr);
         let resp = client.request("GET", "/s", b"").unwrap();
         assert_eq!(resp.text(), "abcdefg");
+    }
+
+    #[test]
+    fn idle_close_before_any_byte_is_retried_once() {
+        // The server answers once, then closes the idle connection; the
+        // second request finds it dead before any response byte.
+        let addr = scripted(vec![vec![OK], vec![OK]]);
+        let mut client = HttpClient::new(addr).with_read_timeout(Duration::from_secs(10));
+        assert_eq!(client.request("GET", "/a", b"").unwrap().text(), "ok");
+        assert_eq!(client.request("GET", "/b", b"").unwrap().text(), "ok");
+        let stats = client.stats();
+        assert_eq!((stats.stale_retries, stats.connects), (1, 2));
+    }
+
+    #[test]
+    fn truncated_body_on_a_reused_connection_is_an_error() {
+        // Status line, headers and 7 of 100 body bytes, then close: the
+        // request may have executed, so it must not be sent again.
+        let truncated = "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\npartial";
+        let addr = scripted(vec![vec![OK, truncated]]);
+        let mut client = HttpClient::new(addr).with_read_timeout(Duration::from_secs(10));
+        assert_eq!(client.request("GET", "/a", b"").unwrap().status, 200);
+        assert!(client.request("GET", "/b", b"").is_err());
+        assert_eq!(client.stats().stale_retries, 0);
+        assert!(
+            client.conn.is_none(),
+            "a failed exchange drops its connection"
+        );
     }
 }

@@ -14,6 +14,17 @@
 //! responses **byte-identical** to single-process ones by construction —
 //! no result values ever cross the wire, only unit identities.
 //!
+//! ## Warm units and pooled connections
+//!
+//! A unit already in the coordinator's own campaign memo is *warm*: the
+//! local render resolves it without any worker, so `execute` drops it
+//! before building chunks and counts it as `units_cached`. A request whose
+//! units are all warm never spawns a thread or dials a worker. The filter
+//! looks only in the memo: a disk probe would cost a file read per unit,
+//! and a unit resolved on disk is memoized by its first render anyway.
+//! Cold fan-out reuses keep-alive connections from a per-worker pool that
+//! outlives each call.
+//!
 //! ## Sharding
 //!
 //! Units are partitioned by rendezvous (highest-random-weight) hashing of
@@ -95,6 +106,9 @@ pub struct DispatchCounters {
     pub chunks_stolen: AtomicU64,
     /// Failed worker exchanges (transport error, `503`, `5xx`).
     pub worker_errors: AtomicU64,
+    /// Units dropped from fan-out because the coordinator's campaign memo
+    /// already held their result.
+    pub units_cached: AtomicU64,
 }
 
 impl DispatchCounters {
@@ -107,6 +121,7 @@ impl DispatchCounters {
             ("chunks_retried", n(&self.chunks_retried)),
             ("chunks_stolen", n(&self.chunks_stolen)),
             ("worker_errors", n(&self.worker_errors)),
+            ("units_cached", n(&self.units_cached)),
         ])
     }
 }
@@ -161,17 +176,21 @@ struct FanoutState {
     local: Mutex<Vec<Unit>>,
 }
 
-/// The coordinator's dispatcher: owns the worker set and the counters.
-/// One dispatcher serves the whole process; `execute` is called per
-/// request job and is safe to call concurrently.
+/// The coordinator's dispatcher: owns the worker set, the counters and
+/// the connection pool. One dispatcher serves the whole process; `execute`
+/// is called per request job and is safe to call concurrently.
 pub struct Dispatcher {
     cfg: DispatchConfig,
     pub counters: DispatchCounters,
+    /// Idle keep-alive clients, one list per worker, reused across
+    /// `execute` calls.
+    pool: Vec<Mutex<Vec<HttpClient>>>,
 }
 
 impl Dispatcher {
     pub fn new(cfg: DispatchConfig) -> Self {
         Self {
+            pool: cfg.workers.iter().map(|_| Mutex::default()).collect(),
             cfg,
             counters: DispatchCounters::default(),
         }
@@ -205,20 +224,28 @@ impl Dispatcher {
         chunks
     }
 
-    /// Execute `units` across the worker set: fan out chunks, steal for
-    /// stragglers, retry with backoff, and run anything undeliverable on
-    /// the local campaign. On return every unit has been executed
-    /// *somewhere*, so a local render of the owning request hits warm
-    /// caches only.
+    /// Execute `units` across the worker set: skip the ones `campaign`
+    /// has memoized, fan out the rest in chunks, steal for stragglers,
+    /// retry with backoff, and run anything undeliverable on the local
+    /// campaign. On return every unit has been executed *somewhere*, so a
+    /// local render of the owning request hits warm caches only.
     pub fn execute(&self, units: &[Unit], campaign: &Campaign) {
-        if units.is_empty() {
+        let cold: Vec<Unit> = units
+            .iter()
+            .filter(|u| !campaign.is_memoized(&u.cache_key()))
+            .cloned()
+            .collect();
+        self.counters
+            .units_cached
+            .fetch_add((units.len() - cold.len()) as u64, Ordering::Relaxed);
+        if cold.is_empty() {
             return;
         }
         if self.cfg.workers.is_empty() {
-            self.run_locally(units, campaign);
+            self.run_locally(&cold, campaign);
             return;
         }
-        let chunks = self.chunks(units);
+        let chunks = self.chunks(&cold);
         let state = FanoutState {
             outstanding: AtomicUsize::new(chunks.len()),
             queue: Mutex::new(chunks),
@@ -238,13 +265,13 @@ impl Dispatcher {
 
     /// One worker thread: drain chunks homed here, steal when idle, back
     /// off on failure, and hand hopeless chunks to the local-fallback
-    /// list. Exits when no chunk is outstanding anywhere.
+    /// list. Exits when no chunk is outstanding anywhere. The client comes
+    /// from worker `w`'s pool and goes back to it on exit; a client whose
+    /// exchange failed has already dropped its connection.
     fn worker_loop(&self, w: usize, addr: SocketAddr, state: &FanoutState) {
-        let mut client = HttpClient::new(addr);
-        loop {
-            if state.outstanding.load(Ordering::SeqCst) == 0 {
-                return;
-            }
+        let pooled = self.pool[w].lock().expect("connection pool poisoned").pop();
+        let mut client = pooled.unwrap_or_else(|| HttpClient::new(addr));
+        while state.outstanding.load(Ordering::SeqCst) > 0 {
             let chunk = self.take_chunk(w, state);
             let Some(mut chunk) = chunk else {
                 // Nothing ready for us right now; other workers may still
@@ -289,6 +316,10 @@ impl Dispatcher {
                 }
             }
         }
+        self.pool[w]
+            .lock()
+            .expect("connection pool poisoned")
+            .push(client);
     }
 
     /// Pop the next chunk for worker `w`: its own ready chunks first, then

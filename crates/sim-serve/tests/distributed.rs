@@ -9,12 +9,14 @@
 //! guarantee is about. Tests take `serial()` so the witnesses don't
 //! observe each other.
 
+use characterize::campaign::Campaign;
+use sim_serve::api;
 use sim_serve::json::{self, Json};
-use sim_serve::{DispatchConfig, HttpClient, Server, ServerConfig};
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener};
+use sim_serve::{DispatchConfig, Dispatcher, HttpClient, Server, ServerConfig};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -236,4 +238,182 @@ fn worker_death_requeues_chunks_and_sweep_completes() {
     );
     solo.stop();
     let _ = std::fs::remove_dir_all(&solo_cache);
+}
+
+/// Read one request (headers, then a `Content-Length` body); `false` once
+/// the peer has closed the connection.
+fn read_request(reader: &mut BufReader<TcpStream>) -> bool {
+    let mut len = 0usize;
+    loop {
+        let mut line = String::new();
+        if reader.read_line(&mut line).unwrap_or(0) == 0 {
+            return false;
+        }
+        let line = line.trim_end().to_ascii_lowercase();
+        if let Some(v) = line.strip_prefix("content-length:") {
+            len = v.trim().parse().unwrap();
+        }
+        if line.is_empty() {
+            break;
+        }
+    }
+    reader.read_exact(&mut vec![0u8; len]).is_ok()
+}
+
+const OK_REPLY: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}";
+
+/// A fake worker: it reads each request in full, then `respond` writes
+/// whatever it likes; the connection stays open while `respond` returns
+/// `true`. Returns its address and a count of accepted connections.
+fn fake_worker(respond: fn(&mut TcpStream) -> bool) -> (SocketAddr, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let accepted = Arc::new(AtomicUsize::new(0));
+    let count = Arc::clone(&accepted);
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            count.fetch_add(1, Ordering::SeqCst);
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            std::thread::spawn(move || while read_request(&mut reader) && respond(&mut stream) {});
+        }
+    });
+    (addr, accepted)
+}
+
+/// Repeating a request through a coordinator whose memo already holds
+/// every unit sends nothing to the workers: the repeat is rendered from
+/// the memo, byte-identical, without a simulation or a chunk.
+#[test]
+fn warm_units_never_leave_the_coordinator() {
+    let _guard = serial();
+    let cache = scratch_cache("warm");
+    let mut worker = TestServer::boot(worker_config(&cache));
+    let mut coord = TestServer::boot(coordinator_config(
+        &cache,
+        vec![worker.addr],
+        DispatchConfig::default(),
+    ));
+    let requests = [
+        ("/v1/runs", r#"{"workload": "sten", "config": "614"}"#),
+        (
+            "/v1/sweep",
+            r#"{"workload": "sten", "core_mhz": [540, 705], "mem_mhz": [324, 2600]}"#,
+        ),
+    ];
+    let send_all = || -> Vec<(u16, Vec<u8>)> {
+        requests
+            .iter()
+            .map(|(path, body)| post(coord.addr, path, body))
+            .collect()
+    };
+
+    let cold = send_all();
+    let cold_metrics = metrics(coord.addr);
+    assert_eq!(dispatch_counter(&cold_metrics, "units_dispatched"), 1 + 4);
+    assert_eq!(dispatch_counter(&cold_metrics, "units_cached"), 0);
+
+    let devices = kepler_sim::devices_created();
+    let warm = send_all();
+    assert_eq!(kepler_sim::devices_created(), devices, "a repeat simulates");
+    for ((status, body), (_, cold_body)) in warm.iter().zip(&cold) {
+        assert_eq!(*status, 200);
+        assert_eq!(body, cold_body, "a warm repeat must serve the cold body");
+    }
+    let warm_metrics = metrics(coord.addr);
+    assert_eq!(
+        dispatch_counter(&warm_metrics, "chunks_sent"),
+        dispatch_counter(&cold_metrics, "chunks_sent"),
+        "warm units must not cross the wire"
+    );
+    assert_eq!(dispatch_counter(&warm_metrics, "units_cached"), 1 + 4);
+
+    coord.stop();
+    worker.stop();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// Sequential fan-outs to one worker share one pooled connection.
+#[test]
+fn dispatcher_reuses_one_connection_per_worker() {
+    let _guard = serial();
+    let (addr, accepted) = fake_worker(|s| s.write_all(OK_REPLY).is_ok());
+    let dispatcher = Dispatcher::new(DispatchConfig {
+        workers: vec![addr],
+        ..DispatchConfig::default()
+    });
+    let campaign = Campaign::in_memory();
+    for workload in ["sten", "nn", "sgemm"] {
+        let body = format!(r#"{{"workload": "{workload}"}}"#);
+        let params = api::parse_run_request(body.as_bytes()).unwrap();
+        dispatcher.execute(&api::run_units(&params), &campaign);
+    }
+    let c = &dispatcher.counters;
+    assert_eq!(c.units_dispatched.load(Ordering::Relaxed), 3);
+    assert_eq!(c.worker_errors.load(Ordering::Relaxed), 0);
+    assert_eq!(accepted.load(Ordering::SeqCst), 1, "one connection, reused");
+}
+
+/// The 16-point sweep of the worker-death test, and a 4-point follow-up
+/// with distinct units.
+const ROBUST_SWEEP: &str = r#"{"workload": "sten", "reps": 1,
+    "core_mhz": [540, 575, 614, 640, 666, 705, 730, 758],
+    "mem_mhz": [324, 2600]}"#;
+const FOLLOW_UP_SWEEP: &str =
+    r#"{"workload": "sten", "core_mhz": [540, 614, 705, 758], "mem_mhz": [1300]}"#;
+
+/// A broken or slow worker never yields a wrong body. A worker that
+/// answers `/v1/units` with a half-written response and hangs up costs a
+/// retry on the healthy worker; one that stalls past `steal_after` loses
+/// its queued chunks to stealing. Either way the coordinator serves the
+/// solo server's bytes, and after a broken exchange the next request
+/// through the same coordinator still succeeds.
+#[test]
+fn broken_or_slow_worker_never_yields_a_wrong_body() {
+    let _guard = serial();
+    let solo_cache = scratch_cache("robust-solo");
+    let mut solo = TestServer::boot(worker_config(&solo_cache));
+    let expected = [
+        post(solo.addr, "/v1/sweep", ROBUST_SWEEP),
+        post(solo.addr, "/v1/sweep", FOLLOW_UP_SWEEP),
+    ];
+    solo.stop();
+    let _ = std::fs::remove_dir_all(&solo_cache);
+    assert!(expected.iter().all(|(status, _)| *status == 200));
+
+    let half_written: fn(&mut TcpStream) -> bool = |s| {
+        let _ = s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 64\r\n\r\n{\"exec");
+        false
+    };
+    let stalled: fn(&mut TcpStream) -> bool = |s| {
+        std::thread::sleep(Duration::from_millis(300));
+        s.write_all(OK_REPLY).is_ok()
+    };
+    for (case, respond) in [("half-written", half_written), ("stalled", stalled)] {
+        let cache = scratch_cache(&format!("robust-{case}"));
+        let mut live = TestServer::boot(worker_config(&cache));
+        let (fake, _) = fake_worker(respond);
+        let mut coord = TestServer::boot(coordinator_config(
+            &cache,
+            vec![live.addr, fake],
+            DispatchConfig {
+                chunk_units: 2,
+                backoff: Duration::from_millis(5),
+                ..DispatchConfig::default()
+            },
+        ));
+        let got = post(coord.addr, "/v1/sweep", ROBUST_SWEEP);
+        assert_eq!(got, expected[0], "{case}: the body differs from solo");
+        if case == "half-written" {
+            let m = metrics(coord.addr);
+            assert!(dispatch_counter(&m, "worker_errors") >= 1, "{case}");
+            let again = post(coord.addr, "/v1/sweep", FOLLOW_UP_SWEEP);
+            assert_eq!(
+                again, expected[1],
+                "{case}: the follow-up differs from solo"
+            );
+        }
+        coord.stop();
+        live.stop();
+        let _ = std::fs::remove_dir_all(&cache);
+    }
 }
