@@ -4,8 +4,9 @@
 //! [`BlockCtx::for_each_thread`] call runs the closure once per thread (in
 //! thread-id order) and ends with an implicit `__syncthreads()` barrier, so
 //! shared-memory producer/consumer patterns across phases are well defined.
-//! Within a phase, each thread records an op stream; at the phase boundary
-//! the streams are folded into warp instructions by [`crate::warp`].
+//! Within a phase, each thread records an op stream; as soon as the last
+//! lane of a warp has run, the warp's streams are folded into warp
+//! instructions by [`crate::warp`].
 
 use crate::access::{Access, AccessEvent, AccessKind, AccessObserver, MemSpace};
 use crate::buffer::{DevBuffer, DevCopy, GlobalMem};
@@ -16,14 +17,15 @@ use crate::warp::{reduce_warp_cached, WarpScratch};
 use std::any::Any;
 use std::marker::PhantomData;
 
-/// Reusable per-executor scratch pooled across blocks: stream buffers keep
-/// their capacities, so steady-state block execution allocates nothing for
-/// op recording or warp reduction. One scratch belongs to one executor
-/// thread; the device owns one for the serial path and parallel execution
-/// gives each worker its own.
+/// Reusable per-executor scratch pooled across blocks: the 32 lane stream
+/// buffers of the warp being recorded keep their capacities, so
+/// steady-state block execution allocates nothing for op recording or warp
+/// reduction. One scratch belongs to one executor thread; the device owns
+/// one for the serial path and parallel execution gives each worker its
+/// own.
 #[derive(Default)]
 pub struct ExecScratch {
-    streams: Vec<Vec<Op>>,
+    streams: [Vec<Op>; 32],
     syncs: Vec<u32>,
     warp: WarpScratch,
     /// Pooled per-block cache simulator (kept across blocks so its arrays
@@ -97,9 +99,6 @@ impl<'a> BlockCtx<'a> {
         mut scratch: ExecScratch,
     ) -> Self {
         assert!((1..=1024).contains(&block_dim), "block size 1..=1024");
-        if scratch.streams.len() < block_dim as usize {
-            scratch.streams.resize_with(block_dim as usize, Vec::new);
-        }
         debug_assert!(scratch.streams.iter().all(Vec::is_empty));
         scratch.syncs.clear();
         Self {
@@ -178,7 +177,8 @@ impl<'a> BlockCtx<'a> {
         for tid in 0..self.block_dim {
             // The thread takes ownership of its stream buffer so op
             // recording skips the per-op indexing into the stream table.
-            let stream = std::mem::take(&mut self.scratch.streams[tid as usize]);
+            let lane = (tid % 32) as usize;
+            let stream = std::mem::take(&mut self.scratch.streams[lane]);
             let mut tc = ThreadCtx {
                 blk: self,
                 tid,
@@ -186,31 +186,32 @@ impl<'a> BlockCtx<'a> {
             };
             f(&mut tc);
             let ThreadCtx { stream, .. } = tc;
-            self.scratch.streams[tid as usize] = stream;
+            self.scratch.streams[lane] = stream;
+            // The warp's streams are complete once its last lane has run.
+            // Nothing a later thread does reads the block cost, the warp
+            // scratch or the cache simulator, and warps still reduce in
+            // index order, so every sum and cache access keeps its order.
+            if lane == 31 || tid + 1 == self.block_dim {
+                self.reduce_warp(lane + 1);
+            }
         }
         self.end_phase();
     }
 
-    fn end_phase(&mut self) {
-        let block_dim = self.block_dim as usize;
-        let mut cache = if self.cache_on {
+    /// Fold the first `lanes` stream buffers (one warp) into the block
+    /// cost and clear them for the next warp.
+    fn reduce_warp(&mut self, lanes: usize) {
+        let cache = if self.cache_on {
             self.scratch.cache.as_mut()
         } else {
             None
         };
-        for w in 0..block_dim.div_ceil(32) {
-            let lo = w * 32;
-            let hi = (lo + 32).min(block_dim);
-            reduce_warp_cached(
-                &self.scratch.streams[lo..hi],
-                &mut self.cost,
-                &mut self.scratch.warp,
-                cache.as_deref_mut(),
-            );
-        }
-        for s in &mut self.scratch.streams {
-            s.clear();
-        }
+        let streams = &mut self.scratch.streams[..lanes];
+        reduce_warp_cached(streams, &mut self.cost, &mut self.scratch.warp, cache);
+        streams.iter_mut().for_each(Vec::clear);
+    }
+
+    fn end_phase(&mut self) {
         if self.phases > 0 {
             // Barrier cost: each warp re-issues a sync instruction.
             self.cost.barriers += 1;
@@ -646,6 +647,40 @@ mod tests {
     use super::*;
     use crate::ops::CompClass;
 
+    /// The phase-end reduction `for_each_thread` made before warps were
+    /// reduced as their last lane finished: every thread's stream of the
+    /// phase is recorded, then the streams are folded warp by warp. Kept
+    /// as the oracle for `prop_warp_at_a_time_matches_the_phase_end_reduction`.
+    fn reference_for_each_thread<'a>(
+        blk: &mut BlockCtx<'a>,
+        mut f: impl FnMut(&mut ThreadCtx<'_, 'a>),
+    ) {
+        let mut streams = Vec::with_capacity(blk.block_dim as usize);
+        for tid in 0..blk.block_dim {
+            let mut tc = ThreadCtx {
+                blk: &mut *blk,
+                tid,
+                stream: Vec::new(),
+            };
+            f(&mut tc);
+            streams.push(tc.stream);
+        }
+        let mut cache = if blk.cache_on {
+            blk.scratch.cache.as_mut()
+        } else {
+            None
+        };
+        for warp in streams.chunks(32) {
+            reduce_warp_cached(
+                warp,
+                &mut blk.cost,
+                &mut blk.scratch.warp,
+                cache.as_deref_mut(),
+            );
+        }
+        blk.end_phase();
+    }
+
     fn with_block<R>(block_dim: u32, f: impl FnOnce(&mut BlockCtx) -> R) -> (R, BlockCost) {
         let mut mem = GlobalMem::new();
         let mut blk = BlockCtx::new(&mut mem, 0, 1, block_dim);
@@ -868,6 +903,73 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Run a random block of `block_dim` threads and `phases` phases
+        /// through `for_each_thread`, or through the reference, and return
+        /// its cost as bits and the memory image's fingerprint. Most lanes
+        /// share each stream slot's op kind so warps form full
+        /// instructions; some lanes take another kind (mixed kinds at one
+        /// slot), stream lengths vary per thread, and some threads `sync`.
+        fn run_random_block(
+            seed: u64,
+            block_dim: u32,
+            phases: u32,
+            cache: Option<&CacheConfig>,
+            reference: bool,
+        ) -> (Vec<u64>, [u64; 2]) {
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+            const N: usize = 4096;
+            let mut mem = GlobalMem::new();
+            let g = mem.alloc::<u32>(N);
+            let fl = mem.alloc::<f32>(N);
+            let mut blk = BlockCtx::new(&mut mem, 0, 1, block_dim);
+            if let Some(cc) = cache {
+                blk.enable_cache(cc);
+            }
+            let sh = blk.shared_alloc::<u32>(1024);
+            for phase in 0..phases as u64 {
+                let body = |t: &mut ThreadCtx<'_, '_>| {
+                    let tid = t.tid() as usize;
+                    let mut lane = SmallRng::seed_from_u64(seed ^ phase << 48 ^ tid as u64);
+                    let len = lane.gen_range(0..12);
+                    for slot in 0..len {
+                        let mut kind = SmallRng::seed_from_u64(seed ^ phase << 48 ^ slot << 32)
+                            .gen_range(0..10);
+                        if lane.gen_bool(0.2) {
+                            kind = lane.gen_range(0..10);
+                        }
+                        let idx = match lane.gen_range(0..3) {
+                            0 => tid,
+                            1 => tid * 33,
+                            _ => lane.gen_range(0..N),
+                        } % N;
+                        match kind {
+                            0 => drop(t.ld(&g, idx)),
+                            1 => t.st(&g, idx, tid as u32),
+                            2 => drop(t.ld(&fl, idx)),
+                            3 => t.st(&fl, idx, -0.5 * tid as f32),
+                            4 => drop(t.atomic_add_u32(&g, idx % 64, 1)),
+                            5 => drop(t.sld(&sh, idx % 1024)),
+                            6 => t.sst(&sh, idx % 1024, slot as u32),
+                            7 => t.fma32(lane.gen_range(1..4)),
+                            8 => t.sfu(1),
+                            _ => t.sync(),
+                        }
+                    }
+                };
+                if reference {
+                    reference_for_each_thread(&mut blk, body);
+                } else {
+                    blk.for_each_thread(body);
+                }
+            }
+            let cost = blk.into_cost();
+            (
+                crate::trace::cost_to_words(&cost).to_vec(),
+                mem.fingerprint().unwrap(),
+            )
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -908,6 +1010,23 @@ mod tests {
                 });
                 let expect: u32 = adds.iter().sum();
                 prop_assert_eq!(mem.slice(&acc)[0], expect);
+            }
+
+            /// Reducing each warp as its last lane returns gives the block
+            /// cost, f64 fields by bits and tier counters included, and
+            /// the memory image that the phase-end reduction gives.
+            #[test]
+            fn prop_warp_at_a_time_matches_the_phase_end_reduction(
+                seed in 0u64..u64::MAX,
+                block_dim in 1u32..=1024,
+                phases in 1u32..=3,
+            ) {
+                for cache in [None, Some(CacheConfig::k20())] {
+                    let [new, reference] = [false, true].map(|reference| {
+                        run_random_block(seed, block_dim, phases, cache.as_ref(), reference)
+                    });
+                    prop_assert_eq!(new, reference, "cache model: {}", cache.is_some());
+                }
             }
 
             /// Shared memory round-trips any permutation across a barrier.

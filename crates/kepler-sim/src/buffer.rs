@@ -73,105 +73,106 @@ impl Slot {
 
     #[inline]
     fn get<T: DevCopy>(&self) -> &Vec<T> {
-        let any: &dyn Any = match self {
-            Slot::U32(v) => v,
-            Slot::F32(v) => v,
-            Slot::I32(v) => v,
-            Slot::Other(b) => return b.downcast_ref::<Vec<T>>().expect("buffer type mismatch"),
+        let v: Option<&Vec<T>> = match self {
+            Slot::U32(v) => (v as &dyn Any).downcast_ref(),
+            Slot::F32(v) => (v as &dyn Any).downcast_ref(),
+            Slot::I32(v) => (v as &dyn Any).downcast_ref(),
+            Slot::Other(b) => b.downcast_ref(),
         };
-        any.downcast_ref::<Vec<T>>().expect("buffer type mismatch")
+        v.expect("buffer type mismatch")
     }
 
     #[inline]
     fn get_mut<T: DevCopy>(&mut self) -> &mut Vec<T> {
-        let any: &mut dyn Any = match self {
-            Slot::U32(v) => v,
-            Slot::F32(v) => v,
-            Slot::I32(v) => v,
-            Slot::Other(b) => return b.downcast_mut::<Vec<T>>().expect("buffer type mismatch"),
+        let v: Option<&mut Vec<T>> = match self {
+            Slot::U32(v) => (v as &mut dyn Any).downcast_mut(),
+            Slot::F32(v) => (v as &mut dyn Any).downcast_mut(),
+            Slot::I32(v) => (v as &mut dyn Any).downcast_mut(),
+            Slot::Other(b) => b.downcast_mut(),
         };
-        any.downcast_mut::<Vec<T>>().expect("buffer type mismatch")
+        v.expect("buffer type mismatch")
     }
 }
 
-/// An owned copy of one typed slot's contents. The launch pre-execution
-/// cache uses these to capture a kernel's global-memory write effects and
-/// replay them without re-executing (see [`crate::memo`]). Only the
-/// dedicated [`Slot`] variants are representable: `Slot::Other` buffers
-/// cannot be cloned generically, which simply disqualifies the owning
-/// launch from pre-execution.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum SlotData {
-    U32(Vec<u32>),
-    F32(Vec<f32>),
-    I32(Vec<i32>),
+/// The element types with a dedicated [`Slot`] variant, all 4 bytes wide,
+/// so one `u32` carries any element's exact bit pattern.
+trait Bits: Copy {
+    fn bits(self) -> u32;
+    fn from_bits(b: u32) -> Self;
 }
 
-impl SlotData {
+impl Bits for u32 {
+    fn bits(self) -> u32 {
+        self
+    }
+    fn from_bits(b: u32) -> u32 {
+        b
+    }
+}
+
+impl Bits for f32 {
+    fn bits(self) -> u32 {
+        self.to_bits()
+    }
+    fn from_bits(b: u32) -> f32 {
+        f32::from_bits(b)
+    }
+}
+
+impl Bits for i32 {
+    fn bits(self) -> u32 {
+        self as u32
+    }
+    fn from_bits(b: u32) -> i32 {
+        b as i32
+    }
+}
+
+/// A launch's global-memory write effects as a patch against the
+/// pre-launch image: runs of changed elements, in order, plus the runs'
+/// new element bits. The launch pre-execution cache keeps these (see
+/// [`crate::memo`]); applying one to the image it was diffed against
+/// reproduces the post-launch image bit for bit.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Patch {
+    /// `(slot, start, len)` per run.
+    runs: Vec<(usize, usize, usize)>,
+    /// The runs' new element bits, concatenated in run order.
+    bits: Vec<u32>,
+}
+
+impl Patch {
     /// Payload size, for the cache's byte budget.
     pub(crate) fn bytes(&self) -> usize {
-        4 * match self {
-            SlotData::U32(v) => v.len(),
-            SlotData::F32(v) => v.len(),
-            SlotData::I32(v) => v.len(),
-        }
+        self.runs.len() * std::mem::size_of::<(usize, usize, usize)>() + self.bits.len() * 4
     }
 
-    /// Overwrite `self`'s elements with `shard`'s wherever `shard` differs
-    /// bitwise from `base`. Merging every shard of a sharded pre-execution
-    /// into a clone of the baseline reconstructs the post-launch slot, as
-    /// long as shards' write sets are disjoint (the `parallel_safe`
-    /// contract). Bitwise comparison so `-0.0` vs `0.0` and NaN payloads
-    /// replay exactly.
-    pub(crate) fn merge_from(&mut self, base: &SlotData, shard: &SlotData) {
-        match (self, base, shard) {
-            (SlotData::U32(m), SlotData::U32(b), SlotData::U32(s)) => {
-                for i in 0..m.len() {
-                    if s[i] != b[i] {
-                        m[i] = s[i];
-                    }
-                }
-            }
-            (SlotData::F32(m), SlotData::F32(b), SlotData::F32(s)) => {
-                for i in 0..m.len() {
-                    if s[i].to_bits() != b[i].to_bits() {
-                        m[i] = s[i];
-                    }
-                }
-            }
-            (SlotData::I32(m), SlotData::I32(b), SlotData::I32(s)) => {
-                for i in 0..m.len() {
-                    if s[i] != b[i] {
-                        m[i] = s[i];
-                    }
-                }
-            }
-            _ => unreachable!("slot type changed between snapshots"),
+    /// Append `later`'s runs. Applying the result applies `self`, then
+    /// `later`, so where both write an element `later` wins.
+    pub(crate) fn append(&mut self, mut later: Patch) {
+        self.runs.append(&mut later.runs);
+        self.bits.append(&mut later.bits);
+    }
+
+    /// Append the runs where `after` differs bitwise from `before`
+    /// (`-0.0` vs `0.0` and NaN payloads count as changes).
+    fn diff_slice<T: Bits>(&mut self, slot: usize, before: &[T], after: &[T]) {
+        let differs = |i: usize| before[i].bits() != after[i].bits();
+        let mut i = 0;
+        while let Some(start) = (i..after.len()).find(|&j| differs(j)) {
+            let end = (start..after.len())
+                .find(|&j| !differs(j))
+                .unwrap_or(after.len());
+            self.runs.push((slot, start, end - start));
+            self.bits.extend(after[start..end].iter().map(|x| x.bits()));
+            i = end;
         }
     }
 }
 
-impl Slot {
-    fn to_data(&self) -> Option<SlotData> {
-        match self {
-            Slot::U32(v) => Some(SlotData::U32(v.clone())),
-            Slot::F32(v) => Some(SlotData::F32(v.clone())),
-            Slot::I32(v) => Some(SlotData::I32(v.clone())),
-            Slot::Other(_) => None,
-        }
-    }
-
-    /// Bitwise equality (distinguishes `-0.0` from `0.0` and NaN bit
-    /// patterns, unlike `PartialEq` on floats).
-    fn bit_eq(&self, other: &Slot) -> bool {
-        match (self, other) {
-            (Slot::U32(a), Slot::U32(b)) => a == b,
-            (Slot::I32(a), Slot::I32(b)) => a == b,
-            (Slot::F32(a), Slot::F32(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-            }
-            _ => false,
-        }
+fn write_run<T: Bits>(dst: &mut [T], start: usize, bits: &[u32]) {
+    for (d, &b) in dst[start..start + bits.len()].iter_mut().zip(bits) {
+        *d = T::from_bits(b);
     }
 }
 
@@ -253,14 +254,16 @@ impl GlobalMem {
     /// Deep copy for speculative execution, or `None` if any buffer holds a
     /// type outside the dedicated variants.
     pub(crate) fn try_clone(&self) -> Option<GlobalMem> {
-        let mut slots = Vec::with_capacity(self.slots.len());
-        for s in &self.slots {
-            slots.push(match s.to_data()? {
-                SlotData::U32(v) => Slot::U32(v),
-                SlotData::F32(v) => Slot::F32(v),
-                SlotData::I32(v) => Slot::I32(v),
-            });
-        }
+        let slots = self
+            .slots
+            .iter()
+            .map(|s| match s {
+                Slot::U32(v) => Some(Slot::U32(v.clone())),
+                Slot::F32(v) => Some(Slot::F32(v.clone())),
+                Slot::I32(v) => Some(Slot::I32(v.clone())),
+                Slot::Other(_) => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
         Some(GlobalMem {
             slots,
             next_base: self.next_base,
@@ -310,40 +313,34 @@ impl GlobalMem {
         Some([h1, h2])
     }
 
-    /// Number of buffers allocated so far.
-    pub(crate) fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether slot `id` differs bitwise between `self` and `other`.
-    pub(crate) fn slot_differs(&self, other: &GlobalMem, id: usize) -> bool {
-        !self.slots[id].bit_eq(&other.slots[id])
-    }
-
-    /// Owned copy of slot `id` (`None` for `Slot::Other`).
-    pub(crate) fn slot_data(&self, id: usize) -> Option<SlotData> {
-        self.slots[id].to_data()
-    }
-
-    /// The slots of `after` that differ bitwise from `self`, as owned
-    /// copies: a launch's write effects, given the memory image before and
-    /// after executing it.
-    pub(crate) fn changed_slots(&self, after: &GlobalMem) -> Vec<(u32, SlotData)> {
+    /// The patch that turns `self` into `after`, a typed clone of `self`
+    /// (see [`GlobalMem::try_clone`]) that a launch then wrote to.
+    pub(crate) fn diff(&self, after: &GlobalMem) -> Patch {
         debug_assert_eq!(self.slots.len(), after.slots.len());
-        (0..self.slots.len())
-            .filter(|&i| self.slot_differs(after, i))
-            .map(|i| (i as u32, after.slots[i].to_data().expect("typed slot")))
-            .collect()
+        let mut patch = Patch::default();
+        for (slot, pair) in self.slots.iter().zip(&after.slots).enumerate() {
+            match pair {
+                (Slot::U32(a), Slot::U32(b)) => patch.diff_slice(slot, a, b),
+                (Slot::F32(a), Slot::F32(b)) => patch.diff_slice(slot, a, b),
+                (Slot::I32(a), Slot::I32(b)) => patch.diff_slice(slot, a, b),
+                _ => unreachable!("diffed images are typed clones of one image"),
+            }
+        }
+        patch
     }
 
-    /// Overwrite the listed slots (replaying a cached launch's writes).
-    pub(crate) fn apply_slots(&mut self, changes: &[(u32, SlotData)]) {
-        for (id, data) in changes {
-            self.slots[*id as usize] = match data.clone() {
-                SlotData::U32(v) => Slot::U32(v),
-                SlotData::F32(v) => Slot::F32(v),
-                SlotData::I32(v) => Slot::I32(v),
-            };
+    /// Write a patch's runs in place (replaying a cached launch's writes).
+    pub(crate) fn apply(&mut self, patch: &Patch) {
+        let mut bits = &patch.bits[..];
+        for &(slot, start, len) in &patch.runs {
+            let (run, rest) = bits.split_at(len);
+            bits = rest;
+            match &mut self.slots[slot] {
+                Slot::U32(v) => write_run(v, start, run),
+                Slot::F32(v) => write_run(v, start, run),
+                Slot::I32(v) => write_run(v, start, run),
+                Slot::Other(_) => unreachable!("patches cover typed slots only"),
+            }
         }
     }
 }
@@ -455,42 +452,173 @@ mod tests {
         assert!(m.try_clone().is_none());
     }
 
+    /// Every slot's element bits, in slot order (without [`Bits`], so the
+    /// checks below do not share its code).
+    fn image_bits(m: &GlobalMem) -> Vec<Vec<u32>> {
+        m.slots
+            .iter()
+            .map(|s| match s {
+                Slot::U32(v) => v.clone(),
+                Slot::F32(v) => v.iter().map(|x| x.to_bits()).collect(),
+                Slot::I32(v) => v.iter().map(|&x| x as u32).collect(),
+                Slot::Other(_) => unreachable!("typed images only"),
+            })
+            .collect()
+    }
+
+    /// Set element `i` of `slot` to the bit pattern `b`.
+    fn set_bits(m: &mut GlobalMem, slot: usize, i: usize, b: u32) {
+        match &mut m.slots[slot] {
+            Slot::U32(v) => write_run(v, i, &[b]),
+            Slot::F32(v) => write_run(v, i, &[b]),
+            Slot::I32(v) => write_run(v, i, &[b]),
+            Slot::Other(_) => unreachable!("typed images only"),
+        }
+    }
+
+    /// Negative zero and a quiet NaN with a payload, as `f32` bits.
+    const NEG_ZERO: u32 = 0x8000_0000;
+    const NAN_PAYLOAD: u32 = 0x7FC0_1234;
+
     #[test]
-    fn changed_slots_roundtrip() {
+    fn diff_then_apply_roundtrips() {
         let mut m = GlobalMem::new();
         let a = m.alloc_from(&[1u32, 2, 3]);
-        let b = m.alloc_from(&[0.0f32; 4]);
-        let _c = m.alloc_from(&[-1i32, -2]);
+        let b = m.alloc_from(&[0.0f32; 6]);
+        let _empty = m.alloc::<f32>(0);
+        let c = m.alloc_from(&[-1i32, -2]);
         let mut after = m.try_clone().unwrap();
-        after.store(&a, 0, 7);
-        after.store(&b, 3, 4.25);
-        let changes = m.changed_slots(&after);
+        after.store(&a, 0, 7); // a run at the slot's start
+        after.store(&b, 1, -0.0); // bitwise change, equal under `==`
+        after.store(&b, 2, f32::from_bits(NAN_PAYLOAD));
+        after.store(&b, 5, 4.25); // a run at the slot's end
+        after.store(&c, 0, 5);
+        after.store(&c, 1, 6); // every element of the slot
+        let patch = m.diff(&after);
+        assert_eq!(patch.runs, [(0, 0, 1), (1, 1, 2), (1, 5, 1), (3, 0, 2)]);
         assert_eq!(
-            changes.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-            [0, 1]
+            patch.bytes(),
+            4 * std::mem::size_of::<(usize, usize, usize)>() + 6 * 4
         );
-        m.apply_slots(&changes);
-        assert_eq!(m.slice(&a), &[7, 2, 3]);
-        assert_eq!(m.slice(&b), &[0.0, 0.0, 0.0, 4.25]);
-        assert!(m.changed_slots(&after).is_empty());
+        m.apply(&patch);
+        assert_eq!(image_bits(&m), image_bits(&after));
+        assert_eq!(m.fingerprint(), after.fingerprint());
+        assert_eq!(m.diff(&after), Patch::default(), "identical images");
     }
 
     #[test]
-    fn merge_from_takes_only_shard_writes() {
-        let base = SlotData::F32(vec![0.0; 4]);
-        let mut merged = base.clone();
-        // Shard 1 wrote elements 0..2, shard 2 wrote element 3.
-        let s1 = SlotData::F32(vec![1.0, 2.0, 0.0, 0.0]);
-        let s2 = SlotData::F32(vec![0.0, 0.0, 0.0, -0.0]);
-        merged.merge_from(&base, &s1);
-        merged.merge_from(&base, &s2);
-        let SlotData::F32(v) = merged else {
-            unreachable!()
-        };
-        assert_eq!(v[..3], [1.0, 2.0, 0.0]);
-        assert!(
-            v[3] == 0.0 && v[3].is_sign_negative(),
-            "bitwise merge keeps -0.0"
-        );
+    fn shard_patches_apply_in_shard_order() {
+        let mut base = GlobalMem::new();
+        let v = base.alloc_from(&[0.0f32; 4]);
+        // Shard 1 wrote elements 0..2 and shard 2 element 3; both wrote
+        // element 1, and the later shard wins as in a serial run.
+        let mut s1 = base.try_clone().unwrap();
+        s1.store(&v, 0, 1.0);
+        s1.store(&v, 1, 2.0);
+        let mut s2 = base.try_clone().unwrap();
+        s2.store(&v, 1, 3.0);
+        s2.store(&v, 3, -0.0);
+        let mut writes = base.diff(&s1);
+        writes.append(base.diff(&s2));
+        base.apply(&writes);
+        let got = base.slice(&v);
+        assert_eq!(got[..3], [1.0, 3.0, 0.0]);
+        assert!(got[3] == 0.0 && got[3].is_sign_negative(), "keeps -0.0");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        /// A random typed image: up to 6 slots of random element types,
+        /// 0–40 elements each, drawn from a small pool of bit patterns
+        /// (so later writes often rewrite an equal value).
+        fn image(r: &mut SmallRng) -> GlobalMem {
+            let mut m = GlobalMem::new();
+            for _ in 0..r.gen_range(1..=6) {
+                let bits: Vec<u32> = (0..r.gen_range(0..=40)).map(|_| pattern(r)).collect();
+                let id = match r.gen_range(0..3) {
+                    0 => m.alloc::<u32>(bits.len()).id,
+                    1 => m.alloc::<f32>(bits.len()).id,
+                    _ => m.alloc::<i32>(bits.len()).id,
+                };
+                for (i, &b) in bits.iter().enumerate() {
+                    set_bits(&mut m, id, i, b);
+                }
+            }
+            m
+        }
+
+        fn pattern(r: &mut SmallRng) -> u32 {
+            [0, 1, NEG_ZERO, NAN_PAYLOAD, 0x7F80_0001, r.gen()][r.gen_range(0..6usize)]
+        }
+
+        /// Every element of `m` as `(slot, index)`.
+        fn elements(m: &GlobalMem) -> Vec<(usize, usize)> {
+            let bits = image_bits(m);
+            (0..bits.len())
+                .flat_map(|s| (0..bits[s].len()).map(move |i| (s, i)))
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(200))]
+
+            /// Diff then apply reproduces the post-image bit for bit, and
+            /// identical images give an empty patch. Write densities run
+            /// from none-changed to all-changed.
+            #[test]
+            fn prop_diff_then_apply_reproduces_the_post_image(seed in 0u64..u64::MAX) {
+                let mut r = SmallRng::seed_from_u64(seed);
+                let mut before = image(&mut r);
+                let mut after = before.try_clone().unwrap();
+                let density = [0.0, 0.1, 0.5, 1.0][r.gen_range(0..4usize)];
+                let old = image_bits(&before);
+                for (s, i) in elements(&before) {
+                    if r.gen_bool(density) {
+                        let new = if density == 1.0 { !old[s][i] } else { pattern(&mut r) };
+                        set_bits(&mut after, s, i, new);
+                    }
+                }
+                let patch = before.diff(&after);
+                prop_assert_eq!(patch.bits.len(), patch.runs.iter().map(|r| r.2).sum::<usize>());
+                if density == 1.0 {
+                    prop_assert_eq!(patch.bits.len(), elements(&before).len());
+                }
+                prop_assert_eq!(before.diff(&before.try_clone().unwrap()), Patch::default());
+                before.apply(&patch);
+                prop_assert_eq!(image_bits(&before), image_bits(&after));
+                prop_assert_eq!(before.diff(&after), Patch::default());
+            }
+
+            /// For random disjoint per-shard write sets, the shard patches
+            /// concatenated in shard order and applied to the base give the
+            /// serial post-image.
+            #[test]
+            fn prop_shard_patches_rebuild_the_serial_image(seed in 0u64..u64::MAX) {
+                let mut r = SmallRng::seed_from_u64(seed);
+                let base = image(&mut r);
+                let jobs = r.gen_range(1..=4usize);
+                let mut serial = base.try_clone().unwrap();
+                let mut shards: Vec<GlobalMem> =
+                    (0..jobs).map(|_| base.try_clone().unwrap()).collect();
+                for (s, i) in elements(&base) {
+                    if r.gen_bool(0.4) {
+                        let b = pattern(&mut r);
+                        set_bits(&mut serial, s, i, b);
+                        set_bits(&mut shards[r.gen_range(0..jobs)], s, i, b);
+                    }
+                }
+                let mut writes = Patch::default();
+                for shard in &shards {
+                    writes.append(base.diff(shard));
+                }
+                let mut merged = base.try_clone().unwrap();
+                merged.apply(&writes);
+                prop_assert_eq!(image_bits(&merged), image_bits(&serial));
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::access::{AccessEvent, AccessObserver};
 use crate::block::{BlockCtx, ExecScratch};
-use crate::buffer::{DevBuffer, DevCopy, GlobalMem, SlotData};
+use crate::buffer::{DevBuffer, DevCopy, GlobalMem, Patch};
 use crate::config::DeviceConfig;
 use crate::cost::BlockCost;
 use crate::counters::{KernelCounters, LaunchStats};
@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use sim_telemetry::{BoardPhase, Event, TelemetrySink};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Process-wide count of simulated program runs (one per [`Device`]
 /// constructed). The campaign layer uses this as an independent witness
@@ -54,12 +54,16 @@ pub fn set_exec_jobs(n: usize) {
     EXEC_JOBS.store(n, Ordering::Relaxed);
 }
 
-/// The effective pre-execution worker count.
+/// The effective pre-execution worker count. The core count is read once:
+/// `available_parallelism` re-reads the cgroup limits on every call.
 pub fn exec_jobs() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     match EXEC_JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1),
+        0 => *CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1)
+        }),
         n => n,
     }
 }
@@ -67,6 +71,11 @@ pub fn exec_jobs() -> usize {
 /// (hits, misses) of the process-wide launch pre-execution cache.
 pub fn exec_cache_stats() -> (u64, u64) {
     memo::stats()
+}
+
+/// Bytes the process-wide launch pre-execution cache retains.
+pub fn exec_cache_retained_bytes() -> u64 {
+    memo::retained_bytes() as u64
 }
 
 /// Drop every cached launch and zero [`exec_cache_stats`]. Tests use this
@@ -483,7 +492,7 @@ impl Device {
         // counter accumulation (f64 sums) is order-identical.
         let strategy = self
             .exec
-            .unwrap_or(ExecStrategy::PreExec { jobs: exec_jobs() });
+            .unwrap_or_else(|| ExecStrategy::PreExec { jobs: exec_jobs() });
         let effects = match strategy {
             ExecStrategy::PreExec { jobs } if kernel.parallel_safe() && self.access.is_none() => {
                 self.pre_execute(kernel, &name, grid, block_threads, jobs)
@@ -621,15 +630,15 @@ impl Device {
             model_fp: self.cfg.mem_model.fingerprint(),
         };
         if let Some(fx) = memo::lookup(&key) {
-            self.mem.apply_slots(&fx.writes);
+            self.mem.apply(&fx.writes);
             return Some((key, fx));
         }
         let cache_cfg = self.cfg.mem_model.cache().copied();
         let jobs = jobs.clamp(1, grid as usize);
         let fx = if jobs == 1 {
             // Execute the grid in block order against one clone of the
-            // pre-launch image; the slots that end up differing are the
-            // launch's write effects.
+            // pre-launch image, which becomes the new image; where it
+            // differs from the old one are the launch's write effects.
             let mut post = self.mem.try_clone()?;
             let mut scratch = std::mem::take(&mut self.scratch);
             let mut costs = Vec::with_capacity(grid as usize);
@@ -647,20 +656,22 @@ impl Device {
                 costs.push(cost);
             }
             self.scratch = scratch;
-            let writes = self.mem.changed_slots(&post);
+            let writes = self.mem.diff(&post);
+            self.mem = post;
             Arc::new(LaunchEffects { costs, writes })
         } else {
             // Contiguous block shards, each executed against its own clone
-            // of the pre-launch image. Under the `parallel_safe` contract
-            // the shards' write sets are disjoint, so merging each shard's
-            // element-level changes into a copy of the baseline
-            // reconstructs the serial post-state bit-for-bit.
+            // of the pre-launch image and diffed against it. Under the
+            // `parallel_safe` contract the shards' write sets are disjoint,
+            // so the shard patches concatenated in shard order rebuild the
+            // serial post-state bit-for-bit.
             let base = &self.mem;
             let shard = grid.div_ceil(jobs as u32);
-            let results: Vec<(Vec<BlockCost>, GlobalMem)> = std::thread::scope(|s| {
+            let results: Vec<(Vec<BlockCost>, Patch)> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..jobs as u32)
                     .map(|j| {
-                        let lo = j * shard;
+                        // Workers past the grid's last shard get no blocks.
+                        let lo = (j * shard).min(grid);
                         let hi = ((j + 1) * shard).min(grid);
                         s.spawn(move || {
                             let mut m = base.try_clone().expect("fingerprinted image clones");
@@ -679,7 +690,7 @@ impl Device {
                                 scratch = sc;
                                 costs.push(cost);
                             }
-                            (costs, m)
+                            (costs, base.diff(&m))
                         })
                     })
                     .collect();
@@ -689,33 +700,14 @@ impl Device {
                     .collect()
             });
             let mut costs = Vec::with_capacity(grid as usize);
-            for (c, _) in &results {
-                costs.extend_from_slice(c);
+            let mut writes = Patch::default();
+            for (c, w) in results {
+                costs.extend(c);
+                writes.append(w);
             }
-            let changed: Vec<u32> = (0..base.slot_count() as u32)
-                .filter(|&id| {
-                    results
-                        .iter()
-                        .any(|(_, m)| base.slot_differs(m, id as usize))
-                })
-                .collect();
-            let writes: Vec<(u32, SlotData)> = changed
-                .into_iter()
-                .map(|id| {
-                    let base_data = base.slot_data(id as usize).expect("typed slot");
-                    let mut merged = base_data.clone();
-                    for (_, m) in &results {
-                        if base.slot_differs(m, id as usize) {
-                            let shard_data = m.slot_data(id as usize).expect("typed slot");
-                            merged.merge_from(&base_data, &shard_data);
-                        }
-                    }
-                    (id, merged)
-                })
-                .collect();
+            self.mem.apply(&writes);
             Arc::new(LaunchEffects { costs, writes })
         };
-        self.mem.apply_slots(&fx.writes);
         memo::insert(key.clone(), fx.clone());
         Some((key, fx))
     }
@@ -1273,10 +1265,13 @@ mod tests {
         let pre1 = psaxpy_run(Some(ExecStrategy::PreExec { jobs: 1 }), n);
         memo::reset();
         let pre3 = psaxpy_run(Some(ExecStrategy::PreExec { jobs: 3 }), n);
-        // A fourth run replays from the cache (no reset): pure hit path.
+        // 12 workers over 32 blocks: shards of 3 leave the last one none.
+        memo::reset();
+        let pre12 = psaxpy_run(Some(ExecStrategy::PreExec { jobs: 12 }), n);
+        // A further run replays from the cache (no reset): pure hit path.
         let hit = psaxpy_run(Some(ExecStrategy::PreExec { jobs: 3 }), n);
-        assert_eq!(memo::stats().0, 1, "fourth run hit the cache");
-        for (i, other) in [&pre1, &pre3, &hit].into_iter().enumerate() {
+        assert_eq!(memo::stats().0, 1, "last run hit the cache");
+        for (i, other) in [&pre1, &pre3, &pre12, &hit].into_iter().enumerate() {
             assert!(
                 serial
                     .0

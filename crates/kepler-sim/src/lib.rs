@@ -74,7 +74,9 @@ pub use config::{ClockConfig, DeviceConfig, PowerParams};
 pub use counters::{KernelCounters, LaunchStats};
 pub use device::devices_created;
 pub use device::devices_replayed;
-pub use device::{exec_cache_stats, exec_jobs, reset_exec_cache, set_exec_jobs};
+pub use device::{
+    exec_cache_retained_bytes, exec_cache_stats, exec_jobs, reset_exec_cache, set_exec_jobs,
+};
 pub use device::{Device, ExecStrategy, LaunchOpts};
 pub use footprint::{
     BlockFootprint, BufAccess, BufRef, FpBuilder, FpKind, KernelFootprint, LaunchInspector,

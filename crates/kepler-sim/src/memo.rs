@@ -17,7 +17,7 @@
 //! the campaign's reuse pattern is "same workload, next config", which the
 //! budget comfortably covers).
 
-use crate::buffer::SlotData;
+use crate::buffer::Patch;
 use crate::cost::BlockCost;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,20 +44,19 @@ pub(crate) struct LaunchKey {
 pub(crate) struct LaunchEffects {
     /// Per-block costs, indexed by block id.
     pub costs: Vec<BlockCost>,
-    /// Post-launch contents of every slot the launch changed.
-    pub writes: Vec<(u32, SlotData)>,
+    /// The launch's writes, as a patch against the pre-launch image.
+    pub writes: Patch,
 }
 
 impl LaunchEffects {
     fn bytes(&self) -> usize {
-        self.costs.len() * std::mem::size_of::<BlockCost>()
-            + self.writes.iter().map(|(_, d)| d.bytes()).sum::<usize>()
+        self.costs.len() * std::mem::size_of::<BlockCost>() + self.writes.bytes()
     }
 }
 
-/// Retained-entry byte budget. The quick campaign's working set is tens of
-/// MB; 1 GiB leaves room for full-scale inputs without letting a pathological
-/// caller grow without bound.
+/// Retained-entry byte budget. A cold `repro all --quick` retains about
+/// 28 MB; 1 GiB leaves room for full-scale inputs without letting a
+/// pathological caller grow without bound.
 const BUDGET_BYTES: usize = 1 << 30;
 
 struct Cache {
@@ -113,6 +112,11 @@ pub(crate) fn stats() -> (u64, u64) {
     (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
 }
 
+/// Bytes the retained entries are charged against the budget.
+pub(crate) fn retained_bytes() -> usize {
+    cache().lock().expect("memo lock poisoned").bytes
+}
+
 /// Drop every entry and zero the stats. For tests that must observe a cold
 /// miss (e.g. to exercise the sharded execution path a second time).
 pub(crate) fn reset() {
@@ -162,10 +166,17 @@ mod tests {
         );
     }
 
+    /// `blocks` block costs plus a patch writing one 3-element run.
     fn effects(blocks: usize) -> Arc<LaunchEffects> {
+        let mut before = crate::buffer::GlobalMem::new();
+        let buf = before.alloc::<u32>(3);
+        let mut after = before.try_clone().unwrap();
+        for i in 0..3 {
+            after.store(&buf, i, i as u32 + 1);
+        }
         Arc::new(LaunchEffects {
             costs: vec![BlockCost::default(); blocks],
-            writes: vec![(0, SlotData::U32(vec![1, 2, 3]))],
+            writes: before.diff(&after),
         })
     }
 
@@ -190,9 +201,13 @@ mod tests {
         reset();
         insert(key(7), effects(2));
         insert(key(7), effects(2));
-        let c = cache().lock().unwrap();
         let entry_bytes = effects(2).bytes();
-        assert_eq!(c.bytes, entry_bytes);
+        assert_eq!(
+            entry_bytes,
+            2 * std::mem::size_of::<BlockCost>() + effects(0).writes.bytes(),
+            "costs plus the patch"
+        );
+        assert_eq!(retained_bytes(), entry_bytes);
     }
 
     /// Regression: N threads racing to insert the same key (the documented

@@ -231,7 +231,7 @@ const CODEC_VERSION: u8 = 2;
 /// Number of per-block cost columns (4 f64 + 18 u64 + 2 u32 fields).
 const COST_COLUMNS: usize = 24;
 
-fn cost_to_words(c: &BlockCost) -> [u64; COST_COLUMNS] {
+pub(crate) fn cost_to_words(c: &BlockCost) -> [u64; COST_COLUMNS] {
     let mut w = [0u64; COST_COLUMNS];
     w[0] = c.issue_cycles.to_bits();
     w[1] = c.dram_bytes.to_bits();

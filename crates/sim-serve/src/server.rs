@@ -851,6 +851,7 @@ fn healthz(state: &Arc<ServeState>) -> Response {
 /// stream subscriber count, and per-endpoint HTTP latency histograms.
 pub fn metrics_body(state: &Arc<ServeState>) -> Json {
     let stats = state.campaign.stats();
+    let (memo_hits, memo_misses) = kepler_sim::exec_cache_stats();
     let mut doc = Json::obj([
         (
             "uptime_s",
@@ -890,6 +891,12 @@ pub fn metrics_body(state: &Arc<ServeState>) -> Json {
                 (
                     "devices_replayed",
                     Json::num(kepler_sim::devices_replayed() as f64),
+                ),
+                ("launch_memo_hits", Json::num(memo_hits as f64)),
+                ("launch_memo_misses", Json::num(memo_misses as f64)),
+                (
+                    "launch_memo_retained_bytes",
+                    Json::num(kepler_sim::exec_cache_retained_bytes() as f64),
                 ),
             ]),
         ),
@@ -987,6 +994,23 @@ pub fn prometheus_body(state: &Arc<ServeState>) -> String {
     ] {
         out.push_str(&format!("simserve_devices_total{{kind=\"{kind}\"}} {v}\n"));
     }
+    let (memo_hits, memo_misses) = kepler_sim::exec_cache_stats();
+    out.push_str(concat!(
+        "# HELP simserve_launch_memo_total Launch pre-execution cache lookups in this ",
+        "process, by outcome.\n",
+        "# TYPE simserve_launch_memo_total counter\n",
+    ));
+    for (outcome, v) in [("hit", memo_hits), ("miss", memo_misses)] {
+        out.push_str(&format!(
+            "simserve_launch_memo_total{{outcome=\"{outcome}\"}} {v}\n"
+        ));
+    }
+    push_gauge(
+        &mut out,
+        "simserve_launch_memo_retained_bytes",
+        "Bytes the launch pre-execution cache retains.",
+        kepler_sim::exec_cache_retained_bytes() as f64,
+    );
     push_gauge(
         &mut out,
         "simserve_stream_subscribers",
@@ -1090,6 +1114,26 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing series {k}"))
         };
         let doc = metrics_body(&state);
+        // The launch memo is process-global and other tests may move it
+        // between the two scrapes, so only its series are checked here.
+        let process = doc.get("process").unwrap();
+        for (key, name) in [
+            (
+                "launch_memo_hits",
+                r#"simserve_launch_memo_total{outcome="hit"}"#,
+            ),
+            (
+                "launch_memo_misses",
+                r#"simserve_launch_memo_total{outcome="miss"}"#,
+            ),
+            (
+                "launch_memo_retained_bytes",
+                "simserve_launch_memo_retained_bytes",
+            ),
+        ] {
+            assert!(process.get(key).unwrap().as_f64().is_some(), "{key}");
+            get(name);
+        }
         let http = doc.get("http").unwrap();
         assert_eq!(
             get("simserve_http_requests_total"),
