@@ -43,8 +43,7 @@
 //!    actually run across all three processes (rendezvous hashing +
 //!    the shared cache make it 1)
 //!
-//! The report (`BENCH_SERVE.json` in CI) follows `BENCH_SIM.json`'s
-//! hand-rolled flat style.
+//! The report (`BENCH_SERVE.json` in CI) is hand-rolled flat JSON.
 
 use sim_serve::{HttpClient, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read as _};

@@ -33,7 +33,7 @@ use crate::experiment::{
 };
 use crate::tracedb::{trace_key, StoredTrace, TraceDb};
 use gpower::{PowerError, Reading};
-use kepler_sim::{ClockConfig, DeviceConfig, KernelCounters};
+use kepler_sim::{fnv1a64, ClockConfig, DeviceConfig, KernelCounters};
 use rayon::prelude::*;
 use sim_telemetry::{Event, TelemetrySink};
 use std::collections::{HashMap, HashSet};
@@ -49,17 +49,6 @@ use workloads::registry;
 const FORMAT_VERSION: &str = "v3";
 const RECORD_MAGIC: &str = "gpgpu-campaign v3";
 const RECORD_END: &str = "end gpgpu-campaign";
-
-/// 64-bit FNV-1a (the *correct* prime — see the `run_seed` fix).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    const FNV_PRIME: u64 = 0x100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Fingerprint of the simulation + measurement model this build produces.
 /// Any change that alters simulated numbers bumps one of the component

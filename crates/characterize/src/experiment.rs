@@ -77,17 +77,8 @@ pub struct MedianMeasurement {
 /// distinct seeds — plain concatenation used to alias them, which gave
 /// different program/input combinations identical run-to-run jitter.
 pub(crate) fn run_seed(bench_key: &str, input_name: &str, rep: u64) -> u64 {
-    const FNV_PRIME: u64 = 0x100_0000_01b3; // 2^40 + 2^8 + 0xb3
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bench_key
-        .bytes()
-        .chain(std::iter::once(0xFF))
-        .chain(input_name.bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h ^ rep.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    let pair = [bench_key.as_bytes(), &[0xFF], input_name.as_bytes()].concat();
+    kepler_sim::fnv1a64(&pair) ^ rep.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Run `bench` on `input` under `kind` once (repetition `rep`) and measure

@@ -28,7 +28,8 @@
 //! fatal — [`TraceDb::load`] reports `None`, a counter is bumped, and the
 //! caller falls back to a clean functional re-run (which re-records).
 
-use crate::campaign::{fbits, fnv1a64, parse_fbits};
+use crate::campaign::{fbits, parse_fbits};
+use kepler_sim::fnv1a64;
 use kepler_sim::{decode_launch, encode_launch, RunTrace, TraceOp};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

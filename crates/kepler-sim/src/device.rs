@@ -8,13 +8,16 @@ use crate::config::DeviceConfig;
 use crate::cost::BlockCost;
 use crate::counters::{KernelCounters, LaunchStats};
 use crate::footprint::{LaunchInspector, LaunchSummary};
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, KernelResources};
+use crate::mem::CacheConfig;
 use crate::memo::{self, LaunchEffects, LaunchKey};
-use crate::scheduler::{run_launch_pooled, SchedScratch};
+use crate::occupancy::resident_blocks;
+use crate::scheduler::{dispatch_order, run_launch_pooled, SchedScratch};
 use gpower::PowerTrace;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim_telemetry::{BoardPhase, Event, TelemetrySink};
+use std::borrow::Cow;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -89,14 +92,14 @@ pub fn reset_exec_cache() {
 /// [`ExecStrategy::AtDispatch`] — that ordering *is* their semantics.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecStrategy {
-    /// Execute each block at its simulated dispatch time, serially, even if
-    /// the kernel permits reordering.
+    /// Run the blocks serially in dispatch order against the live memory
+    /// image, even if the kernel permits reordering.
     AtDispatch,
-    /// Pre-execute the whole grid before scheduling — sharded over `jobs`
-    /// worker threads and shared across identical launches through the
-    /// process-wide cache — then replay the recorded per-block costs at
-    /// dispatch time. Bit-identical to [`ExecStrategy::AtDispatch`] under
-    /// the `parallel_safe` contract, for any `jobs >= 1`.
+    /// Pre-execute the whole grid — sharded over `jobs` worker threads and
+    /// shared across identical launches through the process-wide cache —
+    /// and schedule the recorded per-block costs. Bit-identical to
+    /// [`ExecStrategy::AtDispatch`] under the `parallel_safe` contract, for
+    /// any `jobs >= 1`.
     PreExec {
         /// Worker threads for the functional execution.
         jobs: usize,
@@ -104,23 +107,41 @@ pub enum ExecStrategy {
 }
 
 /// Run one block functionally and return its cost, threading the pooled
-/// scratch through. Shared by the pre-execution paths (the exec-at-dispatch
-/// path inlines the same sequence to also attach the access observer).
+/// scratch through; `observer` (with the launch ordinal) watches its
+/// accesses when given.
+#[allow(clippy::too_many_arguments)]
 fn exec_one_block(
     kernel: &dyn Kernel,
     mem: &mut GlobalMem,
     block_idx: u32,
     grid: u32,
     block_threads: u32,
-    scratch: ExecScratch,
-    cache: Option<&crate::mem::CacheConfig>,
-) -> (BlockCost, ExecScratch) {
-    let mut blk = BlockCtx::with_scratch(mem, block_idx, grid, block_threads, scratch);
+    scratch: &mut ExecScratch,
+    cache: Option<&CacheConfig>,
+    observer: Option<(&dyn AccessObserver, u32)>,
+) -> BlockCost {
+    let mut blk =
+        BlockCtx::with_scratch(mem, block_idx, grid, block_threads, std::mem::take(scratch));
     if let Some(cc) = cache {
         blk.enable_cache(cc);
     }
+    if let Some((obs, launch)) = observer {
+        blk.attach_observer(obs, launch);
+    }
     kernel.run_block(&mut blk);
-    blk.finish()
+    let (cost, s) = blk.finish();
+    *scratch = s;
+    cost
+}
+
+/// Where the launch core takes a launch's per-block costs from.
+pub(crate) enum CostSource<'a> {
+    /// Functional execution of a live kernel: a launch-memo hit, sharded
+    /// pre-execution, or the blocks run in dispatch order against the live
+    /// memory image.
+    Kernel(&'a dyn Kernel),
+    /// A recorded cost stream, indexed by block (trace replay).
+    Recorded(&'a [BlockCost]),
 }
 
 /// Per-launch options.
@@ -162,6 +183,8 @@ pub struct Device {
     /// Pooled scheduler working memory reused by every launch, making the
     /// fluid loop's steady state allocation-free.
     sched: SchedScratch,
+    /// Pooled dispatch-order buffer, refilled by every launch.
+    order: Vec<u32>,
     /// Per-device execution strategy override; `None` follows the process
     /// default (`PreExec` with [`exec_jobs`] workers).
     exec: Option<ExecStrategy>,
@@ -241,6 +264,7 @@ impl Device {
             inspector: None,
             scratch: ExecScratch::default(),
             sched: SchedScratch::default(),
+            order: Vec::new(),
             exec: None,
             recorder: None,
         }
@@ -440,6 +464,65 @@ impl Device {
         block_threads: u32,
         opts: LaunchOpts,
     ) -> &LaunchStats {
+        let name = kernel.display_name();
+        let resources = kernel.resources();
+        let launch_id = self.launches.len() as u32;
+        if let Some(ins) = &self.inspector {
+            ins.inspect(LaunchSummary {
+                launch: launch_id,
+                kernel: &name,
+                grid,
+                block_threads,
+                resources,
+                parallel_safe: kernel.parallel_safe(),
+                has_params: !kernel.params().is_empty(),
+                footprint: kernel.footprint(grid, block_threads),
+            });
+        }
+        if let Some(obs) = &self.access {
+            obs.observe(AccessEvent::LaunchBegin {
+                launch: launch_id,
+                kernel: &name,
+                grid,
+                block_threads,
+                regs_per_thread: resources.regs_per_thread,
+                shared_bytes: resources.shared_bytes,
+            });
+        }
+        self.launch_core(
+            name,
+            grid,
+            block_threads,
+            resources,
+            opts.work_multiplier,
+            CostSource::Kernel(kernel),
+        );
+        let stats = self.launches.last().expect("the launch core records it");
+        if let Some(obs) = &self.access {
+            obs.observe(AccessEvent::LaunchEnd {
+                launch: launch_id,
+                stats,
+            });
+        }
+        stats
+    }
+
+    /// The one launch pipeline, shared by live launches and trace replay:
+    /// the launch-overhead draw and gap, the dispatch order, the per-block
+    /// costs from `source`, fluid scheduling, counters and the retire
+    /// event. Block execution reads neither the RNG nor simulated time, so
+    /// running the blocks in dispatch order before scheduling them is
+    /// exactly the hardware's execute-at-dispatch; a replay under the same
+    /// device state is bit-identical to the live launch it recorded.
+    pub(crate) fn launch_core(
+        &mut self,
+        name: Cow<'static, str>,
+        grid: u32,
+        block_threads: u32,
+        resources: KernelResources,
+        work_multiplier: f64,
+        source: CostSource<'_>,
+    ) {
         assert!(grid >= 1, "empty grid");
         assert!(
             (1..=1024).contains(&block_threads),
@@ -464,117 +547,71 @@ impl Device {
             sink.record(Event::KernelLaunch {
                 t: start,
                 launch: launch_id,
-                name: kernel.display_name().into_owned(),
+                name: name.to_string(),
                 grid,
                 block_threads,
             });
         }
-        let resources = kernel.resources();
-        let name = kernel.display_name();
-        if let Some(ins) = &self.inspector {
-            ins.inspect(LaunchSummary {
-                launch: launch_id,
-                kernel: &name,
-                grid,
-                block_threads,
-                resources,
-                parallel_safe: kernel.parallel_safe(),
-                has_params: !kernel.params().is_empty(),
-                footprint: kernel.footprint(grid, block_threads),
-            });
-        }
+        let occupancy = resident_blocks(&self.cfg, block_threads, &resources);
+        let mut order = std::mem::take(&mut self.order);
+        dispatch_order(&self.cfg, &mut self.rng, grid, occupancy, &mut order);
         // Kernels declaring dispatch-order independence are pre-executed
-        // (usually replayed straight from the process-wide cache) and the
-        // scheduler consumes their recorded costs; irregular kernels — and
-        // every launch under the sanitizer, which must watch the real
-        // access stream — execute each block at its dispatch time. Either
-        // way the exec closure runs once per block in dispatch order, so
-        // counter accumulation (f64 sums) is order-identical.
-        let strategy = self
-            .exec
-            .unwrap_or_else(|| ExecStrategy::PreExec { jobs: exec_jobs() });
-        let effects = match strategy {
-            ExecStrategy::PreExec { jobs } if kernel.parallel_safe() && self.access.is_none() => {
-                self.pre_execute(kernel, &name, grid, block_threads, jobs)
-            }
-            _ => None,
-        };
-        if let Some(rec) = &self.recorder {
-            match &effects {
-                Some((key, fx)) => {
-                    rec.record_launch(key, resources, &fx.costs, opts.work_multiplier)
+        // (usually replayed straight from the process-wide memo); irregular
+        // kernels — and every launch under the sanitizer, which must watch
+        // the real access stream — run their blocks in dispatch order.
+        let (memoized, ran);
+        let costs: &[BlockCost] = match source {
+            CostSource::Recorded(costs) => costs,
+            CostSource::Kernel(kernel) => {
+                let strategy = self
+                    .exec
+                    .unwrap_or_else(|| ExecStrategy::PreExec { jobs: exec_jobs() });
+                let effects = match strategy {
+                    ExecStrategy::PreExec { jobs }
+                        if kernel.parallel_safe() && self.access.is_none() =>
+                    {
+                        self.pre_execute(kernel, &name, block_threads, &order, launch_id, jobs)
+                    }
+                    _ => None,
+                };
+                if let Some(rec) = &self.recorder {
+                    match &effects {
+                        Some((key, fx)) => {
+                            rec.record_launch(key, resources, &fx.costs, work_multiplier)
+                        }
+                        None => rec.mark_ineligible(&name),
+                    }
                 }
-                None => rec.mark_ineligible(&name),
-            }
-        }
-        let access = self.access.as_deref();
-        if let Some(obs) = access {
-            obs.observe(AccessEvent::LaunchBegin {
-                launch: launch_id,
-                kernel: &name,
-                grid,
-                block_threads,
-                regs_per_thread: resources.regs_per_thread,
-                shared_bytes: resources.shared_bytes,
-            });
-        }
-        let mut counters = KernelCounters::default();
-        let outcome = match &effects {
-            Some((_, fx)) => run_launch_pooled(
-                &self.cfg,
-                &mut self.rng,
-                &mut self.trace,
-                grid,
-                block_threads,
-                &resources,
-                opts.work_multiplier,
-                launch_id,
-                self.telemetry.as_deref(),
-                |block_idx| {
-                    let cost = fx.costs[block_idx as usize];
-                    counters.add_block(&cost, opts.work_multiplier);
-                    cost
-                },
-                &mut self.sched,
-            ),
-            None => {
-                let mem = &mut self.mem;
-                let scratch = &mut self.scratch;
-                let cache_cfg = self.cfg.mem_model.cache().copied();
-                run_launch_pooled(
-                    &self.cfg,
-                    &mut self.rng,
-                    &mut self.trace,
-                    grid,
-                    block_threads,
-                    &resources,
-                    opts.work_multiplier,
-                    launch_id,
-                    self.telemetry.as_deref(),
-                    |block_idx| {
-                        let mut blk = BlockCtx::with_scratch(
-                            mem,
-                            block_idx,
-                            grid,
-                            block_threads,
-                            std::mem::take(scratch),
-                        );
-                        if let Some(cc) = cache_cfg.as_ref() {
-                            blk.enable_cache(cc);
-                        }
-                        if let Some(obs) = access {
-                            blk.attach_observer(obs, launch_id);
-                        }
-                        kernel.run_block(&mut blk);
-                        let (cost, s) = blk.finish();
-                        *scratch = s;
-                        counters.add_block(&cost, opts.work_multiplier);
-                        cost
-                    },
-                    &mut self.sched,
-                )
+                match effects {
+                    Some((_, fx)) => {
+                        memoized = fx;
+                        &memoized.costs
+                    }
+                    None => {
+                        ran = self.run_blocks(kernel, block_threads, &order, launch_id);
+                        &ran
+                    }
+                }
             }
         };
+        let outcome = run_launch_pooled(
+            &self.cfg,
+            &mut self.rng,
+            &mut self.trace,
+            &order,
+            costs,
+            occupancy,
+            work_multiplier,
+            launch_id,
+            self.telemetry.as_deref(),
+            &mut self.sched,
+        );
+        // Summed in dispatch order, like the scheduler consumes the costs.
+        let mut counters = KernelCounters::default();
+        for &b in &order {
+            counters.add_block(&costs[b as usize], work_multiplier);
+        }
+        self.order = order;
         if let Some(sink) = &self.telemetry {
             sink.record(Event::KernelRetire {
                 t: self.trace.end_time(),
@@ -592,34 +629,57 @@ impl Device {
             block_threads,
             counters,
         });
-        let stats = self.launches.last().unwrap();
-        if let Some(obs) = &self.access {
-            obs.observe(AccessEvent::LaunchEnd {
-                launch: launch_id,
-                stats,
-            });
+    }
+
+    /// Run a launch's blocks functionally, one after another in dispatch
+    /// `order`, against the live memory image — with the access observer
+    /// attached, if any — and return their costs indexed by block.
+    fn run_blocks(
+        &mut self,
+        kernel: &dyn Kernel,
+        block_threads: u32,
+        order: &[u32],
+        launch_id: u32,
+    ) -> Vec<BlockCost> {
+        let grid = order.len() as u32;
+        let cache = self.cfg.mem_model.cache().copied();
+        let observer = self.access.as_deref().map(|obs| (obs, launch_id));
+        let mut costs = vec![BlockCost::default(); order.len()];
+        for &b in order {
+            costs[b as usize] = exec_one_block(
+                kernel,
+                &mut self.mem,
+                b,
+                grid,
+                block_threads,
+                &mut self.scratch,
+                cache.as_ref(),
+                observer,
+            );
         }
-        stats
+        costs
     }
 
     /// Functionally execute a `parallel_safe` launch ahead of scheduling —
     /// or fetch it from the process-wide cache — apply its global-memory
-    /// effects, and return the per-block costs for dispatch-time replay.
+    /// effects, and return the per-block costs, indexed by block.
     ///
     /// `None` means the launch cannot be pre-executed (some buffer's type
     /// has no dedicated slot variant, so the memory image can be neither
-    /// fingerprinted nor cloned); the caller falls back to
-    /// exec-at-dispatch, which is always correct. On success the launch's
-    /// identity key is returned alongside the effects so an attached trace
-    /// recorder can content-address the launch.
+    /// fingerprinted nor cloned); the caller falls back to running the
+    /// blocks in dispatch order, which is always correct. On success the
+    /// launch's identity key is returned alongside the effects so an
+    /// attached trace recorder can content-address the launch.
     fn pre_execute(
         &mut self,
         kernel: &dyn Kernel,
         name: &str,
-        grid: u32,
         block_threads: u32,
+        order: &[u32],
+        launch_id: u32,
         jobs: usize,
     ) -> Option<(LaunchKey, Arc<LaunchEffects>)> {
+        let grid = order.len() as u32;
         let mem_fp = self.mem.fingerprint()?;
         let key = LaunchKey {
             kernel: name.to_string(),
@@ -636,28 +696,11 @@ impl Device {
         let cache_cfg = self.cfg.mem_model.cache().copied();
         let jobs = jobs.clamp(1, grid as usize);
         let fx = if jobs == 1 {
-            // Execute the grid in block order against one clone of the
-            // pre-launch image, which becomes the new image; where it
-            // differs from the old one are the launch's write effects.
-            let mut post = self.mem.try_clone()?;
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let mut costs = Vec::with_capacity(grid as usize);
-            for b in 0..grid {
-                let (cost, s) = exec_one_block(
-                    kernel,
-                    &mut post,
-                    b,
-                    grid,
-                    block_threads,
-                    scratch,
-                    cache_cfg.as_ref(),
-                );
-                scratch = s;
-                costs.push(cost);
-            }
-            self.scratch = scratch;
-            let writes = self.mem.diff(&post);
-            self.mem = post;
+            // Run the grid against the live image; where it differs from a
+            // snapshot of the pre-launch image are the launch's writes.
+            let pre = self.mem.try_clone()?;
+            let costs = self.run_blocks(kernel, block_threads, order, launch_id);
+            let writes = pre.diff(&self.mem);
             Arc::new(LaunchEffects { costs, writes })
         } else {
             // Contiguous block shards, each executed against its own clone
@@ -676,20 +719,20 @@ impl Device {
                         s.spawn(move || {
                             let mut m = base.try_clone().expect("fingerprinted image clones");
                             let mut scratch = ExecScratch::default();
-                            let mut costs = Vec::with_capacity((hi - lo) as usize);
-                            for b in lo..hi {
-                                let (cost, sc) = exec_one_block(
-                                    kernel,
-                                    &mut m,
-                                    b,
-                                    grid,
-                                    block_threads,
-                                    scratch,
-                                    cache_cfg.as_ref(),
-                                );
-                                scratch = sc;
-                                costs.push(cost);
-                            }
+                            let costs = (lo..hi)
+                                .map(|b| {
+                                    exec_one_block(
+                                        kernel,
+                                        &mut m,
+                                        b,
+                                        grid,
+                                        block_threads,
+                                        &mut scratch,
+                                        cache_cfg.as_ref(),
+                                        None,
+                                    )
+                                })
+                                .collect();
                             (costs, base.diff(&m))
                         })
                     })
@@ -710,84 +753,6 @@ impl Device {
         };
         memo::insert(key.clone(), fx.clone());
         Some((key, fx))
-    }
-
-    /// Re-simulate one recorded launch: the exact pipeline of
-    /// [`Device::launch_with`]'s pre-executed path — launch-overhead RNG
-    /// draw, gap segment, telemetry, fluid scheduling over the recorded
-    /// per-block costs — with no functional execution. Bit-identical to a
-    /// live launch with the same key under the same device state.
-    pub(crate) fn replay_launch(&mut self, lt: &crate::trace::LaunchTrace, work_multiplier: f64) {
-        let (grid, block_threads) = (lt.grid, lt.block_threads);
-        assert!(grid >= 1, "empty grid");
-        assert!(
-            (1..=1024).contains(&block_threads),
-            "block size must be 1..=1024"
-        );
-        assert_eq!(
-            lt.costs.len(),
-            grid as usize,
-            "trace cost stream covers the grid"
-        );
-        let gap_w = self.cfg.power.idle_w
-            + self.cfg.power.gap_overhead_w * self.cfg.clocks.core_vrel * self.cfg.clocks.core_vrel;
-        let overhead_start = self.trace.end_time();
-        let overhead = self.cfg.launch_overhead_s * (1.0 + self.rng.gen::<f64>() * 0.2);
-        self.trace.push(overhead, gap_w);
-
-        let start = self.trace.end_time();
-        let launch_id = self.launches.len() as u32;
-        if let Some(sink) = &self.telemetry {
-            sink.record(Event::BoardInterval {
-                t0: overhead_start,
-                t1: start,
-                watts: gap_w,
-                phase: BoardPhase::Gap,
-            });
-            sink.record(Event::KernelLaunch {
-                t: start,
-                launch: launch_id,
-                name: lt.kernel.clone(),
-                grid,
-                block_threads,
-            });
-        }
-        let resources = lt.resources;
-        let mut counters = KernelCounters::default();
-        let outcome = run_launch_pooled(
-            &self.cfg,
-            &mut self.rng,
-            &mut self.trace,
-            grid,
-            block_threads,
-            &resources,
-            work_multiplier,
-            launch_id,
-            self.telemetry.as_deref(),
-            |block_idx| {
-                let cost = lt.costs[block_idx as usize];
-                counters.add_block(&cost, work_multiplier);
-                cost
-            },
-            &mut self.sched,
-        );
-        if let Some(sink) = &self.telemetry {
-            sink.record(Event::KernelRetire {
-                t: self.trace.end_time(),
-                launch: launch_id,
-                duration_s: outcome.duration_s,
-                energy_j: outcome.energy_j,
-            });
-        }
-        self.launches.push(LaunchStats {
-            kernel: std::borrow::Cow::Owned(lt.kernel.clone()),
-            start_s: start,
-            duration_s: outcome.duration_s,
-            energy_j: outcome.energy_j,
-            grid,
-            block_threads,
-            counters,
-        });
     }
 
     /// Record host-side time between kernels (the driver keeps the GPU
@@ -1202,6 +1167,65 @@ mod tests {
         dev.launch(&OobStore { buf }, 1, 32); // would panic unobserved
         assert_eq!(obs.0.load(Ordering::Relaxed), 32);
         assert!(dev.read(&buf).iter().all(|&v| v == 0.0));
+    }
+
+    /// Each block takes a ticket from one global counter: an irregular
+    /// kernel whose output records the order its blocks ran in.
+    struct Tickets {
+        next: DevBuffer<u32>,
+        ticket: DevBuffer<u32>,
+    }
+
+    impl Kernel for Tickets {
+        fn name(&self) -> &'static str {
+            "tickets"
+        }
+        fn run_block(&self, blk: &mut BlockCtx) {
+            let (next, ticket) = (self.next, self.ticket);
+            blk.for_each_thread(|t| {
+                if t.tid() == 0 {
+                    let mine = t.atomic_add_u32(&next, 0, 1);
+                    t.st(&ticket, t.block_idx() as usize, mine);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn irregular_blocks_run_in_dispatch_order() {
+        use sim_telemetry::EventTrace;
+
+        struct Silent;
+        impl AccessObserver for Silent {
+            fn observe(&self, _: AccessEvent<'_>) {}
+        }
+
+        let grid = 64u32;
+        for observed in [false, true] {
+            let mut dev = device();
+            let sink = Arc::new(EventTrace::with_capacity(1 << 16));
+            dev.set_telemetry(sink.clone());
+            if observed {
+                dev.set_access_observer(Arc::new(Silent));
+            }
+            let next = dev.alloc_init::<u32>(1, 0);
+            let ticket = dev.alloc_init::<u32>(grid as usize, u32::MAX);
+            dev.launch(&Tickets { next, ticket }, grid, 32);
+            let dispatched: Vec<u32> = sink
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::BlockDispatch { block, .. } => Some(*block),
+                    _ => None,
+                })
+                .collect();
+            let mut by_ticket = vec![u32::MAX; grid as usize];
+            for (block, t) in dev.read(&ticket).into_iter().enumerate() {
+                by_ticket[t as usize] = block as u32;
+            }
+            assert_eq!(by_ticket, dispatched, "observer attached: {observed}");
+            assert_ne!(dispatched, (0..grid).collect::<Vec<_>>(), "not shuffled");
+        }
     }
 
     #[test]

@@ -34,13 +34,21 @@
 //!   progress, yielding a piecewise-constant ground-truth
 //!   [`gpower::PowerTrace`] that the emulated sensor then samples.
 //!
-//! **Timing-dependent irregularity is genuine:** blocks execute functionally
-//! at *dispatch time*, so blocks of one kernel observe global-memory writes
-//! of earlier-dispatched blocks. Changing the clock configuration changes
-//! completion order, hence dispatch interleaving, hence how far worklist or
-//! constraint propagation travels within a single kernel pass — the exact
-//! mechanism the paper invokes to explain why LonestarGPU codes respond
-//! super-linearly to small frequency changes.
+//! **Timing-dependent irregularity is genuine:** a launch's dispatch order
+//! is a shuffle of its blocks within windows of the co-residency width,
+//! drawn from a device RNG seeded by the jitter seed *and* the clock
+//! configuration ([`scheduler::dispatch_order`]). The order is fixed before
+//! the first block runs, and the blocks execute functionally in that
+//! order, so blocks of one kernel observe the global-memory writes of the
+//! blocks dispatched before them. Changing the clock configuration changes
+//! the order, hence how far worklist or constraint propagation travels
+//! within a single kernel pass — the mechanism the paper invokes to explain
+//! why LonestarGPU codes respond super-linearly to small frequency changes.
+//! Completions only decide which SM each block lands on. Block execution
+//! reads neither the RNG nor simulated time, so running the blocks first
+//! and then scheduling their costs is exactly executing each block when
+//! it dispatches; live launches, memoized launches and trace replay all
+//! take this one path.
 
 pub mod access;
 pub mod attribution;
@@ -65,6 +73,16 @@ pub mod warp;
 /// change alters simulated numbers (scheduler, cost model, power model,
 /// jitter), so persisted measurement caches keyed on it are invalidated.
 pub const SIM_VERSION: &str = "kepler-sim/2";
+
+/// 64-bit FNV-1a over a byte string: the workspace's one fingerprint and
+/// content-address hash (memory-model tags, campaign record and trace file
+/// names, jitter seeds, rendezvous placement).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x100_0000_01b3;
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(FNV_PRIME)
+    })
+}
 
 pub use access::{Access, AccessEvent, AccessKind, AccessObserver, MemSpace};
 pub use attribution::{attribute_energy, class_activity, energy_model, phase_durations};
@@ -94,3 +112,13 @@ pub use trace::{
 /// attach a [`telemetry::TelemetrySink`] with [`Device::set_telemetry`] to
 /// stream kernel/block/power/DRAM events out of a run.
 pub use sim_telemetry as telemetry;
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(super::fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

@@ -43,16 +43,6 @@ pub const SECTORS_PER_LINE: u32 = 4;
 /// semantics change.
 pub const MODEL_VERSION: &str = "mem-model/1";
 
-/// FNV-1a over a byte string (the repo-wide fingerprint primitive).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Geometry, bandwidth and energy knobs of the cache hierarchy. All sizes
 /// are in bytes; bandwidths are per *core* cycle because the L2 sits in
 /// the core clock domain on Kepler (which is why cache-resident
@@ -138,7 +128,7 @@ impl CacheConfig {
             self.e_l1_byte,
             self.e_l2_byte,
         );
-        fnv1a64(s.as_bytes())
+        crate::fnv1a64(s.as_bytes())
     }
 }
 
@@ -167,7 +157,7 @@ impl MemoryModel {
     /// results from another.
     pub fn fingerprint(&self) -> u64 {
         match self {
-            MemoryModel::FlatDram => fnv1a64(b"flat-dram"),
+            MemoryModel::FlatDram => crate::fnv1a64(b"flat-dram"),
             MemoryModel::Cached(c) => c.fingerprint(),
         }
     }

@@ -1,23 +1,26 @@
 //! The fluid (progress-based) block scheduler.
 //!
-//! Blocks are dispatched to SM occupancy slots in completion-driven order;
-//! between scheduler events each SM's issue bandwidth is shared by its
-//! resident blocks and the global DRAM bandwidth is shared by all blocks
-//! still demanding memory (with a per-block memory-level-parallelism cap so
-//! low-occupancy kernels see exposed latency). A block's compute and memory
-//! streams drain concurrently — the usual GPU overlap — and the block
-//! completes when both are empty and its latency floor has elapsed.
+//! A launch's blocks dispatch in the order [`dispatch_order`] draws, each
+//! to the least-loaded SM as occupancy slots free up; between scheduler
+//! events each SM's issue bandwidth is shared by its resident blocks and
+//! the global DRAM bandwidth is shared by all blocks still demanding memory
+//! (with a per-block memory-level-parallelism cap so low-occupancy kernels
+//! see exposed latency). A block's compute and memory streams drain
+//! concurrently — the usual GPU overlap — and the block completes when
+//! both are empty and its latency floor has elapsed.
 //!
-//! Because the functional execution of a block happens at dispatch time,
-//! the *order* produced by this scheduler feeds back into program behaviour
-//! for kernels with intra-launch data sharing (atomics/worklists).
+//! The dispatch order is a clock-seeded shuffle fixed before the first
+//! block runs; completions decide only which SM each block lands on. Block
+//! execution reads neither the RNG nor simulated time, so the device runs
+//! a launch's blocks in this order first and then hands the scheduler
+//! their costs ([`run_launch_pooled`]). For kernels with intra-launch data
+//! sharing (atomics, worklists) the order is what the blocks observe of
+//! each other, and it shifts with the clock configuration.
 
 use crate::attribution::ECC_ENERGY_FACTOR;
 use crate::config::DeviceConfig;
 use crate::cost::BlockCost;
-use crate::kernel::KernelResources;
 use crate::mem::{arbitrate_l2, XbarScratch};
-use crate::occupancy::resident_blocks;
 use gpower::PowerTrace;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -106,8 +109,8 @@ const EPS: f64 = 1e-9;
 /// Reusable scheduler working memory.
 ///
 /// Everything the fluid loop needs per interval — per-SM aggregates, the
-/// DRAM rate memo, the telemetry accumulators, the shuffled dispatch order
-/// and the resident-block columns — lives here, so a launch
+/// DRAM rate memo, the telemetry accumulators and the resident-block
+/// columns — lives here, so a launch
 /// driven through [`run_launch_pooled`] performs **zero heap allocations
 /// per scheduling interval** once the launch is set up (a debug assertion
 /// in the loop enforces this). A [`crate::device::Device`] owns one and
@@ -144,8 +147,6 @@ pub struct SchedScratch {
     /// Telemetry per-SM accumulators for the current interval.
     sm_watts: Vec<f64>,
     sm_issue: Vec<f64>,
-    /// Window-shuffled dispatch order for the current launch.
-    order: Vec<u32>,
 }
 
 /// The per-block DRAM rate when `demanders` blocks share one MLP `cap`.
@@ -200,44 +201,44 @@ fn earlier(t: f64, acc: f64) -> f64 {
     }
 }
 
-/// Run one kernel launch through the fluid model with a private scratch.
+/// Write into `order` the order in which a launch's `grid` blocks
+/// dispatch, for `occupancy` resident blocks per SM.
 ///
-/// Convenience wrapper over [`run_launch_pooled`]; callers issuing many
-/// launches (the device) should hold a [`SchedScratch`] and use the pooled
-/// entry point directly.
-#[allow(clippy::too_many_arguments)]
-pub fn run_launch(
+/// On real hardware, blocks that are co-resident interleave
+/// nondeterministically and the interleaving shifts with the clock
+/// configuration. We model this by shuffling the block order within
+/// windows of roughly the co-residency width. The device RNG is seeded
+/// from the jitter seed *and* the clock configuration, so changing the
+/// frequency genuinely changes the order racy kernels observe — the
+/// paper's timing-dependent-irregularity mechanism. The draws come after
+/// the launch-overhead draw and before the per-dispatch jitter draws of
+/// [`run_launch_pooled`].
+pub fn dispatch_order(
     cfg: &DeviceConfig,
     rng: &mut SmallRng,
-    trace: &mut PowerTrace,
     grid: u32,
-    block_threads: u32,
-    resources: &KernelResources,
-    work_multiplier: f64,
-    launch_id: u32,
-    telemetry: Option<&dyn TelemetrySink>,
-    exec: impl FnMut(u32) -> BlockCost,
-) -> SchedOutcome {
-    run_launch_pooled(
-        cfg,
-        rng,
-        trace,
-        grid,
-        block_threads,
-        resources,
-        work_multiplier,
-        launch_id,
-        telemetry,
-        exec,
-        &mut SchedScratch::default(),
-    )
+    occupancy: usize,
+    order: &mut Vec<u32>,
+) {
+    let window = (cfg.num_sms * occupancy * 2).max(2);
+    order.clear();
+    order.extend(0..grid);
+    if cfg.interleave_shuffle {
+        for chunk in order.chunks_mut(window) {
+            for i in (1..chunk.len()).rev() {
+                let j = rng.gen_range(0..=i);
+                chunk.swap(i, j);
+            }
+        }
+    }
 }
 
 /// Run one kernel launch through the fluid model.
 ///
-/// `exec` materializes block `i`'s cost by running it functionally; it is
-/// called exactly once per block, in dispatch order. Power segments are
-/// appended to `trace` starting at its current end time.
+/// The blocks dispatch in `order` (from [`dispatch_order`], drawn with the
+/// same `occupancy`); `costs` holds each block's functional cost, indexed
+/// by block. One jitter draw per dispatch is taken from `rng`. Power
+/// segments are appended to `trace` starting at its current end time.
 ///
 /// When `telemetry` is attached, the scheduler emits a structured event
 /// stream: `BlockDispatch`/`BlockComplete` per block, and per scheduling
@@ -257,18 +258,18 @@ pub fn run_launch_pooled(
     cfg: &DeviceConfig,
     rng: &mut SmallRng,
     trace: &mut PowerTrace,
-    grid: u32,
-    block_threads: u32,
-    resources: &KernelResources,
+    order: &[u32],
+    costs: &[BlockCost],
+    occupancy: usize,
     work_multiplier: f64,
     launch_id: u32,
     telemetry: Option<&dyn TelemetrySink>,
-    mut exec: impl FnMut(u32) -> BlockCost,
     scratch: &mut SchedScratch,
 ) -> SchedOutcome {
-    assert!(grid >= 1, "grid must have at least one block");
+    assert!(!order.is_empty(), "grid must have at least one block");
+    assert_eq!(costs.len(), order.len(), "one cost per block of the grid");
     assert!(cfg.num_sms <= 64, "the dispatch level masks hold 64 SMs");
-    let occupancy = resident_blocks(cfg, block_threads, resources);
+    let grid = order.len() as u32;
     let p = &cfg.power;
     let vc2 = cfg.clocks.core_vrel * cfg.clocks.core_vrel;
     let vm2 = cfg.clocks.mem_vrel * cfg.clocks.mem_vrel;
@@ -310,7 +311,6 @@ pub fn run_launch_pooled(
         xbar,
         sm_watts,
         sm_issue,
-        order,
     } = scratch;
     r.reset(slots);
     sm_resident.clear();
@@ -345,25 +345,6 @@ pub fn run_launch_pooled(
     sm_issue.clear();
     sm_issue.resize(cfg.num_sms, 0.0);
 
-    // Execution order: on real hardware, blocks that are co-resident
-    // interleave nondeterministically and the interleaving shifts with the
-    // clock configuration. We model this by shuffling the block order
-    // within windows of roughly the co-residency width. The device RNG is
-    // seeded from the jitter seed *and* the clock configuration, so
-    // changing the frequency genuinely changes the order racy kernels
-    // observe — the paper's timing-dependent-irregularity mechanism.
-    let window = (cfg.num_sms * occupancy * 2).max(2);
-    order.clear();
-    order.extend(0..grid);
-    if cfg.interleave_shuffle {
-        for chunk in order.chunks_mut(window) {
-            for i in (1..chunk.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                chunk.swap(i, j);
-            }
-        }
-    }
-
     let mut dram_contended = false;
     // Blocks with an undrained memory stream, maintained incrementally.
     let mut mem_demanders = 0u32;
@@ -385,7 +366,6 @@ pub fn run_launch_pooled(
                     dram_rate.capacity(),
                     sm_watts.capacity(),
                     sm_issue.capacity(),
-                    order.capacity(),
                 ),
                 (
                     l2_idx.capacity(),
@@ -409,7 +389,7 @@ pub fn run_launch_pooled(
             }
             let sm = level_mask[min_level].trailing_zeros() as usize;
             let block = order[next_block as usize];
-            let cost = exec(block);
+            let cost = &costs[block as usize];
             let jitter = 1.0 + cfg.jitter * (rng.gen::<f64>() - 0.5) * 2.0;
             let mult = work_multiplier * jitter;
             let comp = (cost.issue_cycles * mult).max(100.0);
@@ -760,8 +740,48 @@ pub fn run_launch_pooled(
 mod tests {
     use super::*;
     use crate::config::ClockConfig;
+    use crate::kernel::KernelResources;
+    use crate::occupancy::resident_blocks;
     use crate::ops::CompClass;
     use rand::SeedableRng;
+
+    /// Schedule a launch whose costs come from `cost`, called once per
+    /// block in dispatch order: the device's sequence of
+    /// [`dispatch_order`], the cost slice and [`run_launch_pooled`] on a
+    /// fresh scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn run_with_cost_fn(
+        cfg: &DeviceConfig,
+        rng: &mut SmallRng,
+        trace: &mut PowerTrace,
+        grid: u32,
+        block_threads: u32,
+        resources: &KernelResources,
+        work_multiplier: f64,
+        launch_id: u32,
+        telemetry: Option<&dyn TelemetrySink>,
+        mut cost: impl FnMut(u32) -> BlockCost,
+    ) -> SchedOutcome {
+        let occupancy = resident_blocks(cfg, block_threads, resources);
+        let mut order = Vec::new();
+        dispatch_order(cfg, rng, grid, occupancy, &mut order);
+        let mut costs = vec![BlockCost::default(); grid as usize];
+        for &b in &order {
+            costs[b as usize] = cost(b);
+        }
+        run_launch_pooled(
+            cfg,
+            rng,
+            trace,
+            &order,
+            &costs,
+            occupancy,
+            work_multiplier,
+            launch_id,
+            telemetry,
+            &mut SchedScratch::default(),
+        )
+    }
 
     fn compute_block(fma_lane_ops: u64) -> BlockCost {
         let mut c = BlockCost {
@@ -794,7 +814,7 @@ mod tests {
         let mut trace = PowerTrace::new();
         let mut c = cfg.clone();
         c.jitter = 0.0;
-        run_launch(
+        run_with_cost_fn(
             &c,
             &mut rng,
             &mut trace,
@@ -968,7 +988,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let mut trace = PowerTrace::new();
         trace.push(1.0, 25.0);
-        let o = run_launch(
+        let o = run_with_cost_fn(
             &cfg,
             &mut rng,
             &mut trace,
@@ -989,7 +1009,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let mut trace = PowerTrace::new();
         let mut order = Vec::new();
-        run_launch(
+        run_with_cost_fn(
             &cfg,
             &mut rng,
             &mut trace,
@@ -1020,7 +1040,7 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut trace = PowerTrace::new();
             let mut order = Vec::new();
-            run_launch(
+            run_with_cost_fn(
                 &cfg,
                 &mut rng,
                 &mut trace,
@@ -1048,7 +1068,7 @@ mod tests {
         let sink = EventTrace::with_capacity(1 << 20);
         let mut rng = SmallRng::seed_from_u64(11);
         let mut trace = PowerTrace::new();
-        let o = run_launch(
+        let o = run_with_cost_fn(
             &cfg,
             &mut rng,
             &mut trace,
@@ -1106,7 +1126,7 @@ mod tests {
         let run = |sink: Option<&dyn sim_telemetry::TelemetrySink>| {
             let mut rng = SmallRng::seed_from_u64(5);
             let mut trace = PowerTrace::new();
-            let o = run_launch(
+            let o = run_with_cost_fn(
                 &cfg,
                 &mut rng,
                 &mut trace,
@@ -1136,7 +1156,7 @@ mod tests {
         let sink = EventTrace::with_capacity(1 << 16);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut trace = PowerTrace::new();
-        run_launch(
+        run_with_cost_fn(
             &cfg,
             &mut rng,
             &mut trace,
@@ -1177,7 +1197,7 @@ mod tests {
         let sink = EventTrace::with_capacity(1 << 16);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut trace = PowerTrace::new();
-        let o = run_launch(
+        let o = run_with_cost_fn(
             &cfg,
             &mut rng,
             &mut trace,
@@ -1217,7 +1237,7 @@ mod tests {
         // share one MLP cap; a block that disagrees is a caller bug.
         let cfg = DeviceConfig::k20c(ClockConfig::k20_default(), false);
         let mut rng = SmallRng::seed_from_u64(1);
-        run_launch(
+        run_with_cost_fn(
             &cfg,
             &mut rng,
             &mut PowerTrace::new(),
@@ -1237,49 +1257,34 @@ mod tests {
     #[test]
     fn pooled_scratch_matches_fresh_and_stops_growing() {
         let cfg = DeviceConfig::k20c(ClockConfig::k20_default(), false);
+        let occupancy = resident_blocks(&cfg, 256, &KernelResources::default());
+        let costs: Vec<BlockCost> = (0..130)
+            .map(|i| {
+                if i % 2 == 0 {
+                    compute_block(500_000)
+                } else {
+                    memory_block(2_000_000.0)
+                }
+            })
+            .collect();
         let run = |scratch: &mut SchedScratch| {
             let mut rng = SmallRng::seed_from_u64(9);
             let mut trace = PowerTrace::new();
+            let mut order = Vec::new();
+            dispatch_order(&cfg, &mut rng, 130, occupancy, &mut order);
             let o = run_launch_pooled(
-                &cfg,
-                &mut rng,
-                &mut trace,
-                130,
-                256,
-                &KernelResources::default(),
-                1.0,
-                0,
-                None,
-                |i| {
-                    if i % 2 == 0 {
-                        compute_block(500_000)
-                    } else {
-                        memory_block(2_000_000.0)
-                    }
-                },
-                scratch,
+                &cfg, &mut rng, &mut trace, &order, &costs, occupancy, 1.0, 0, None, scratch,
             );
             (o.duration_s, o.energy_j, trace.end_time())
         };
         let mut pooled = SchedScratch::default();
         let first = run(&mut pooled);
-        let caps = (
-            pooled.resident.caps(),
-            pooled.dram_rate.capacity(),
-            pooled.order.capacity(),
-        );
+        let caps = (pooled.resident.caps(), pooled.dram_rate.capacity());
         // Re-running on warm scratch is bit-identical to the first (fresh)
         // run and allocates nothing new.
         let second = run(&mut pooled);
         assert_eq!(first, second);
-        assert_eq!(
-            caps,
-            (
-                pooled.resident.caps(),
-                pooled.dram_rate.capacity(),
-                pooled.order.capacity(),
-            )
-        );
+        assert_eq!(caps, (pooled.resident.caps(), pooled.dram_rate.capacity()));
     }
 
     #[test]
@@ -1297,7 +1302,7 @@ mod tests {
         let mut trace = PowerTrace::new();
         let mut c = cfg.clone();
         c.jitter = 0.0;
-        run_launch(
+        run_with_cost_fn(
             &c,
             &mut rng,
             &mut trace,
@@ -1956,7 +1961,7 @@ mod tests {
                 &LaunchCase,
                 u32,
                 Option<&dyn TelemetrySink>,
-                &mut dyn FnMut(u32) -> BlockCost,
+                &mut Vec<u32>,
             ) -> SchedOutcome,
         ) -> Observed {
             use sim_telemetry::EventTrace;
@@ -1965,13 +1970,17 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(cfg.jitter_seed);
             let mut trace = PowerTrace::new();
             trace.push(0.25, cfg.power.idle_w);
-            let mut dispatch_order = Vec::new();
+            let mut dispatched = Vec::new();
             let mut outcomes = Vec::new();
             for (id, l) in launches.iter().enumerate() {
-                let o = run(&mut rng, &mut trace, l, id as u32, sink_ref, &mut |b| {
-                    dispatch_order.push(b);
-                    l.costs[b as usize]
-                });
+                let o = run(
+                    &mut rng,
+                    &mut trace,
+                    l,
+                    id as u32,
+                    sink_ref,
+                    &mut dispatched,
+                );
                 outcomes.push((o.duration_s.to_bits(), o.energy_j.to_bits()));
             }
             assert_eq!(sink.dropped(), 0, "event ring too small for the case");
@@ -1983,7 +1992,7 @@ mod tests {
                     .map(|s| (s.t0.to_bits(), s.t1.to_bits(), s.watts.to_bits()))
                     .collect(),
                 events: sink.take().iter().map(|e| format!("{e:?}")).collect(),
-                dispatch_order,
+                dispatch_order: dispatched,
                 rng_after: rng.gen(),
             }
         }
@@ -2043,17 +2052,27 @@ mod tests {
                 cfg.jitter_seed = seed;
                 let launches = [draw_launch(&mut rng, &cfg), draw_launch(&mut rng, &cfg)];
 
-                let reference = observe(&cfg, &launches, telemetry, |rng, trace, l, id, sink, exec| {
+                // The reference runs each block's cost closure at its
+                // dispatch; the columnar side draws the whole order first
+                // and schedules the block-indexed cost slice.
+                let reference = observe(&cfg, &launches, telemetry, |rng, trace, l, id, sink, dispatched| {
                     reference_run_launch(
                         &cfg, rng, trace, l.grid, l.block_threads, &l.resources,
-                        l.work_multiplier, id, sink, exec,
+                        l.work_multiplier, id, sink, |b| {
+                            dispatched.push(b);
+                            l.costs[b as usize]
+                        },
                     )
                 });
                 let mut scratch = SchedScratch::default();
-                let columnar = observe(&cfg, &launches, telemetry, |rng, trace, l, id, sink, exec| {
+                let mut order = Vec::new();
+                let columnar = observe(&cfg, &launches, telemetry, |rng, trace, l, id, sink, dispatched| {
+                    let occupancy = resident_blocks(&cfg, l.block_threads, &l.resources);
+                    dispatch_order(&cfg, rng, l.grid, occupancy, &mut order);
+                    dispatched.extend_from_slice(&order);
                     run_launch_pooled(
-                        &cfg, rng, trace, l.grid, l.block_threads, &l.resources,
-                        l.work_multiplier, id, sink, exec, &mut scratch,
+                        &cfg, rng, trace, &order, &l.costs, occupancy,
+                        l.work_multiplier, id, sink, &mut scratch,
                     )
                 });
                 assert_same(
@@ -2098,7 +2117,7 @@ mod tests {
                 let cfg = DeviceConfig::k20c(ClockConfig::k20_default(), false);
                 let mut rng = SmallRng::seed_from_u64(3);
                 let mut trace = PowerTrace::new();
-                let o = run_launch(
+                let o = run_with_cost_fn(
                     &cfg, &mut rng, &mut trace, grid, 256,
                     &KernelResources::default(), 1.0, 0, None, |_| cost,
                 );

@@ -29,7 +29,7 @@
 use crate::config::DeviceConfig;
 use crate::cost::BlockCost;
 use crate::counters::{KernelCounters, LaunchStats};
-use crate::device::Device;
+use crate::device::{CostSource, Device};
 use crate::kernel::KernelResources;
 use crate::memo::LaunchKey;
 use gpower::PowerTrace;
@@ -192,9 +192,17 @@ impl TraceReplayDevice {
                 TraceOp::Launch {
                     launch,
                     work_multiplier,
-                } => self
-                    .dev
-                    .replay_launch(&run.launches[launch], work_multiplier),
+                } => {
+                    let lt = &run.launches[launch];
+                    self.dev.launch_core(
+                        lt.kernel.clone().into(),
+                        lt.grid,
+                        lt.block_threads,
+                        lt.resources,
+                        work_multiplier,
+                        CostSource::Recorded(&lt.costs),
+                    );
+                }
                 TraceOp::HostGap { seconds } => self.dev.host_gap(seconds),
             }
         }
@@ -345,8 +353,9 @@ pub fn encode_launch(lt: &LaunchTrace) -> Vec<u8> {
 }
 
 /// Decode a launch record. `None` on any truncation, trailing garbage,
-/// version mismatch or malformed field — corrupt records must degrade to
-/// a clean functional re-run, never to wrong numbers.
+/// version mismatch, malformed field or launch geometry the device
+/// rejects — corrupt records must degrade to a clean functional re-run,
+/// never to wrong numbers or a panic.
 pub fn decode_launch(buf: &[u8]) -> Option<LaunchTrace> {
     let mut pos = 0usize;
     if *buf.get(pos)? != CODEC_VERSION {
@@ -367,6 +376,10 @@ pub fn decode_launch(buf: &[u8]) -> Option<LaunchTrace> {
     }
     let grid = u32::try_from(get_varint(buf, &mut pos)?).ok()?;
     let block_threads = u32::try_from(get_varint(buf, &mut pos)?).ok()?;
+    // Geometry the launch core refuses would panic at replay.
+    if grid == 0 || !(1..=1024).contains(&block_threads) {
+        return None;
+    }
     let resources = KernelResources {
         regs_per_thread: u32::try_from(get_varint(buf, &mut pos)?).ok()?,
         shared_bytes: u32::try_from(get_varint(buf, &mut pos)?).ok()?,
@@ -516,6 +529,16 @@ mod tests {
         let mut mixed = sample_launch(9);
         mixed.costs[4].warps = 5;
         assert!(decode_launch(&encode_launch(&mixed)).is_none());
+        // So does geometry no launch can have: an empty grid, or a block
+        // of 0 or more than 1024 threads.
+        assert!(decode_launch(&encode_launch(&sample_launch(0))).is_none());
+        for block_threads in [0, 1025] {
+            let bad = LaunchTrace {
+                block_threads,
+                ..sample_launch(9)
+            };
+            assert!(decode_launch(&encode_launch(&bad)).is_none());
+        }
     }
 
     /// Parallel-safe saxpy for recording tests.

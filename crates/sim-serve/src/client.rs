@@ -131,8 +131,17 @@ impl HttpClient {
         match send(&mut conn, method, path, body, self.keepalive) {
             Ok(()) => {}
             // Stale reuse: the server closed an idle keep-alive connection
-            // under us and no response byte arrived. Retry once, fresh.
-            Err(e) if conn.used && e.kind() != io::ErrorKind::TimedOut => {
+            // under us and no response byte arrived. Retry once, fresh. A
+            // read timeout (`WouldBlock` on Unix, `TimedOut` on Windows)
+            // means the server is alive but slow: the request may run, so
+            // it is not sent again.
+            Err(e)
+                if conn.used
+                    && !matches!(
+                        e.kind(),
+                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+                    ) =>
+            {
                 self.stats.stale_retries += 1;
                 conn = self.dial()?;
                 send(&mut conn, method, path, body, self.keepalive)?;
@@ -406,6 +415,43 @@ mod tests {
         assert_eq!(client.request("GET", "/b", b"").unwrap().text(), "ok");
         let stats = client.stats();
         assert_eq!((stats.stale_retries, stats.connects), (1, 2));
+    }
+
+    #[test]
+    fn timed_out_request_on_a_reused_connection_is_not_sent_again() {
+        // The server answers one request, then reads a second on the same
+        // connection and never answers it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (gave_up, client_gave_up) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            read_request(&mut reader);
+            writer.write_all(OK.as_bytes()).unwrap();
+            read_request(&mut reader);
+            let mut seen = 1;
+            client_gave_up.recv().unwrap();
+            // A re-sent request would wait on a fresh connection.
+            listener.set_nonblocking(true).unwrap();
+            while let Ok((stream, _)) = listener.accept() {
+                stream.set_nonblocking(false).unwrap();
+                read_request(&mut BufReader::new(stream));
+                seen += 1;
+            }
+            seen
+        });
+        let mut client = HttpClient::new(addr).with_read_timeout(Duration::from_millis(50));
+        assert_eq!(client.request("GET", "/a", b"").unwrap().text(), "ok");
+        assert!(client.request("GET", "/b", b"").is_err());
+        assert_eq!(client.stats().stale_retries, 0);
+        gave_up.send(()).unwrap();
+        assert_eq!(
+            server.join().unwrap(),
+            1,
+            "the second request was sent once"
+        );
     }
 
     #[test]

@@ -126,18 +126,6 @@ impl DispatchCounters {
     }
 }
 
-/// FNV-1a 64 — the same mixing the campaign cache uses for content
-/// addresses, applied here to (worker label, unit key) pairs.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    const FNV_PRIME: u64 = 0x100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// splitmix64's finalizer: a cheap full-avalanche mix. FNV alone
 /// diffuses too weakly for rendezvous scoring (near-equal inputs produce
 /// correlated scores and the key space collapses onto few workers), so
@@ -153,7 +141,7 @@ fn mix64(mut x: u64) -> u64 {
 /// the key and the worker count, independent of request order.
 pub fn hrw_owner(key: &str, n: usize) -> usize {
     assert!(n > 0, "hrw_owner needs at least one worker");
-    let kh = fnv1a64(key.as_bytes());
+    let kh = kepler_sim::fnv1a64(key.as_bytes());
     (0..n)
         .max_by_key(|&w| mix64(kh ^ mix64(w as u64 + 1)))
         .expect("non-empty worker set")
