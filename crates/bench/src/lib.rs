@@ -1,2 +1,3 @@
-//! Benchmark harness crate: see the `repro` binary (regenerates every table
-//! and figure of the paper) and the Criterion benches under `benches/`.
+//! Command-line tools crate: see the `repro` binary (regenerates every table
+//! and figure of the paper) and the `profile`, `sanitize`, `analyze` and
+//! `serve` binaries beside it.

@@ -3,11 +3,9 @@
 //! The counterpart of [`crate::http`]: one [`HttpClient`] owns one
 //! keep-alive connection to one server and issues `Content-Length`-framed
 //! requests over it back-to-back, reconnecting transparently when the
-//! server has closed the idle connection in the meantime. `loadgen` holds
-//! one client per concurrency slot, and the dispatcher
-//! ([`crate::dispatch`]) keeps a pool of them per worker across requests —
-//! both get connection setup out of the per-request path, which is what
-//! lifts warm throughput from ~2k rps (close-per-request) past 10k rps.
+//! server has closed the idle connection in the meantime. The dispatcher
+//! ([`crate::dispatch`]) keeps a pool of them per worker across requests,
+//! which takes connection setup out of the per-request path.
 //!
 //! Framing rules (mirror the server's): a response is delimited by
 //! `Content-Length` when present, by chunked encoding when declared, and
@@ -75,7 +73,6 @@ struct Conn {
 pub struct HttpClient {
     addr: SocketAddr,
     conn: Option<Conn>,
-    keepalive: bool,
     read_timeout: Duration,
     stats: ClientStats,
 }
@@ -85,18 +82,9 @@ impl HttpClient {
         Self {
             addr,
             conn: None,
-            keepalive: true,
             read_timeout: Duration::from_secs(600),
             stats: ClientStats::default(),
         }
-    }
-
-    /// Disable connection reuse: every request dials, sends
-    /// `Connection: close`, and drops the socket — the pre-keep-alive
-    /// measurement mode (`loadgen --no-keepalive`).
-    pub fn no_keepalive(mut self) -> Self {
-        self.keepalive = false;
-        self
     }
 
     pub fn with_read_timeout(mut self, t: Duration) -> Self {
@@ -128,7 +116,7 @@ impl HttpClient {
             Some(c) => c,
             None => self.dial()?,
         };
-        match send(&mut conn, method, path, body, self.keepalive) {
+        match send(&mut conn, method, path, body) {
             Ok(()) => {}
             // Stale reuse: the server closed an idle keep-alive connection
             // under us and no response byte arrived. Retry once, fresh. A
@@ -144,7 +132,7 @@ impl HttpClient {
             {
                 self.stats.stale_retries += 1;
                 conn = self.dial()?;
-                send(&mut conn, method, path, body, self.keepalive)?;
+                send(&mut conn, method, path, body)?;
             }
             Err(e) => return Err(e),
         }
@@ -164,7 +152,7 @@ impl HttpClient {
             // EOF-delimited bodies consumed the stream to its end.
             || (resp.header("content-length").is_none()
                 && resp.header("transfer-encoding").is_none());
-        if self.keepalive && !server_closes {
+        if !server_closes {
             conn.used = true;
             self.conn = Some(conn);
         }
@@ -174,11 +162,10 @@ impl HttpClient {
 
 /// Send one request on `conn` and wait for the first response byte. An
 /// error here means no byte of the response arrived.
-fn send(conn: &mut Conn, method: &str, path: &str, body: &[u8], keepalive: bool) -> io::Result<()> {
+fn send(conn: &mut Conn, method: &str, path: &str, body: &[u8]) -> io::Result<()> {
     write!(
         conn.writer,
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nConnection: {}\r\nContent-Length: {}\r\n\r\n",
-        if keepalive { "keep-alive" } else { "close" },
+        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nConnection: keep-alive\r\nContent-Length: {}\r\n\r\n",
         body.len()
     )?;
     conn.writer.write_all(body)?;

@@ -151,8 +151,8 @@ fn round3(v: f64) -> f64 {
 /// milliseconds: the value at rank `ceil(q * n)` (1-based, clamped to the
 /// sample). `None` on an empty sample.
 ///
-/// This is the service's one exact-percentile definition; `loadgen`
-/// reports it over its recorded per-request latencies. The `/metrics`
+/// This is the service's one exact-percentile definition; the repository
+/// benchmark computes its client percentiles with it. The `/metrics`
 /// histogram cannot afford to retain raw samples, so
 /// [`Histogram::quantile_ms`] *approximates the same rank* by linear
 /// interpolation inside the fixed bucket that contains it — the two agree

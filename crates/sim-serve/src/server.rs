@@ -282,7 +282,7 @@ impl Server {
         Arc::clone(&self.shutdown)
     }
 
-    /// The shared state (tests and `loadgen` read gauges through it).
+    /// The shared state (tests read gauges through it).
     pub fn state(&self) -> Arc<ServeState> {
         Arc::clone(&self.state)
     }

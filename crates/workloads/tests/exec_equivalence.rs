@@ -3,10 +3,12 @@
 //! (the simulator's reference semantics), are pre-executed serially, are
 //! pre-executed sharded across worker threads, or are replayed from the
 //! process-wide pre-execution cache — and that must hold under more than
-//! one clock configuration (the cache is shared across configurations by
-//! design; see `docs/PERF.md`) AND under both memory models (the per-block
+//! one clock configuration AND under both memory models (the per-block
 //! cache simulation keeps every block cost a pure function of its own
-//! access stream; see `docs/MEMORY.md`).
+//! access stream; see `docs/MEMORY.md`). The cache is shared across
+//! configurations by design (`docs/PERF.md`), so a replay must also match
+//! when the cache was filled under the other clock configuration, whose
+//! clock-seeded dispatch order differs.
 //!
 //! Benchmarks whose kernels use atomics never opt into `parallel_safe`,
 //! so for them every strategy degenerates to exec-at-dispatch; including
@@ -107,16 +109,15 @@ fn every_regular_workload_is_strategy_invariant() {
     let mut covered = 0usize;
     // Two clock configs under the flat model, plus the cache model at
     // default clocks: the equivalence contract must survive the per-block
-    // cache simulation too.
+    // cache simulation too. Each pass names the other flat clock config,
+    // which fills the cache for the cross-configuration replay.
+    let (default, c614) = (ClockConfig::k20_default(), ClockConfig::k20_614());
     let passes = [
-        (ClockConfig::k20_default(), MemoryModel::FlatDram),
-        (ClockConfig::k20_614(), MemoryModel::FlatDram),
-        (
-            ClockConfig::k20_default(),
-            MemoryModel::Cached(CacheConfig::k20()),
-        ),
+        (default, c614, MemoryModel::FlatDram),
+        (c614, default, MemoryModel::FlatDram),
+        (default, c614, MemoryModel::Cached(CacheConfig::k20())),
     ];
-    for (clocks, mem_model) in passes {
+    for (clocks, other_clocks, mem_model) in passes {
         for bench in &benches {
             let spec = bench.spec();
             if !spec.regular {
@@ -126,7 +127,8 @@ fn every_regular_workload_is_strategy_invariant() {
                 .unwrap_or_else(|| panic!("no small input for regular bench {:?}", spec.key));
 
             // Reference semantics, then each pre-execution variant cold
-            // (cache cleared), then a warm run that must replay from cache.
+            // (cache cleared), then a warm run that must replay from cache,
+            // then a replay from a cache filled under the other clocks.
             let reference = outcome(
                 bench.as_ref(),
                 &input,
@@ -134,8 +136,9 @@ fn every_regular_workload_is_strategy_invariant() {
                 mem_model,
                 ExecStrategy::AtDispatch,
             );
+            let serial = ExecStrategy::PreExec { jobs: 1 };
             for (label, strategy) in [
-                ("pre-exec serial", ExecStrategy::PreExec { jobs: 1 }),
+                ("pre-exec serial", serial),
                 ("pre-exec sharded", ExecStrategy::PreExec { jobs: 3 }),
             ] {
                 kepler_sim::reset_exec_cache();
@@ -149,6 +152,26 @@ fn every_regular_workload_is_strategy_invariant() {
                 assert_eq!(
                     reference, warm,
                     "{} ({label}, cache replay) diverged from exec-at-dispatch",
+                    spec.key
+                );
+            }
+
+            // A cold serial fill under the other clocks: each launch it
+            // pre-executes is a miss, retained (these small inputs stay far
+            // under the cache's byte budget) for the replay to hit.
+            kepler_sim::reset_exec_cache();
+            outcome(bench.as_ref(), &input, other_clocks, mem_model, serial);
+            let (hits_before, filled) = kepler_sim::exec_cache_stats();
+            let crossed = outcome(bench.as_ref(), &input, clocks, mem_model, serial);
+            assert_eq!(
+                reference, crossed,
+                "{} (replay of a cache filled under other clocks) diverged from exec-at-dispatch",
+                spec.key
+            );
+            if filled > 0 {
+                assert!(
+                    kepler_sim::exec_cache_stats().0 > hits_before,
+                    "{}: a cache filled under other clocks served no launch",
                     spec.key
                 );
             }
