@@ -213,8 +213,9 @@ fn main() {
     let stats = campaign.stats();
     let (pre_hits, pre_misses) = kepler_sim::exec_cache_stats();
     let retained_mb = kepler_sim::exec_cache_retained_bytes() as f64 / 1e6;
+    let charged_mb = kepler_sim::exec_cache_charged_bytes() as f64 / 1e6;
     eprintln!(
-        "[repro] done in {:?} | requested={raw} unique={unique} | {stats} | pre-exec hits={pre_hits} misses={pre_misses} retained={retained_mb:.1}MB",
+        "[repro] done in {:?} | requested={raw} unique={unique} | {stats} | pre-exec hits={pre_hits} misses={pre_misses} retained={retained_mb:.1}MB charged={charged_mb:.1}MB",
         t0.elapsed()
     );
 }

@@ -11,9 +11,9 @@
 //!   of artifacts ([`plan_artifacts`] / the `*_runs()` planners in
 //!   [`crate::tables`] and [`crate::figures`]);
 //! * **executes** — runs the unique (workload, input, config, rep) units
-//!   on the rayon work-stealing pool, exactly once per process, with
-//!   in-flight deduplication so even unplanned concurrent requests cannot
-//!   double-simulate;
+//!   on the rayon pool in (workload, input) groups, exactly once per
+//!   process, with in-flight deduplication so even unplanned concurrent
+//!   requests cannot double-simulate;
 //! * **memoizes** — results (including *measurement failures*, the paper's
 //!   324-MHz exclusions) are kept in-process and served to every artifact;
 //! * **persists** — each unit is written to a content-addressed on-disk
@@ -190,6 +190,28 @@ pub fn rep_indices(reps: u64) -> std::ops::Range<u64> {
     } else {
         0..1
     }
+}
+
+/// Split deduplicated units into (program, input) groups, in first-seen
+/// order with plan order kept inside each group, then order the groups
+/// largest first by unit count (a stable sort, so ties keep first-seen
+/// order). The functional execution a group's configurations share stays
+/// on one thread, and the largest groups start first so the pool's last
+/// groups are short ones.
+fn affine_groups<'a>(units: &[&'a RunRequest]) -> Vec<Vec<&'a RunRequest>> {
+    let mut index: HashMap<(&str, String), usize> = HashMap::new();
+    let mut groups: Vec<Vec<&RunRequest>> = Vec::new();
+    for &u in units {
+        let g = *index
+            .entry((u.key, u.input.cache_key()))
+            .or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+        groups[g].push(u);
+    }
+    groups.sort_by_key(|g| std::cmp::Reverse(g.len()));
+    groups
 }
 
 /// The canonical identity of one run unit, *without* the model
@@ -564,6 +586,12 @@ impl Campaign {
 
     /// Execute a planned set of requests on the rayon pool, deduplicated
     /// by cache identity. Returns the number of unique units resolved.
+    ///
+    /// The units run in (program, input) groups ([`affine_groups`]). A
+    /// group runs on one pool thread, in plan order, inside one launch-memo
+    /// scope: its first configuration's functional execution serves the
+    /// other configurations, and the memo entries it made are released
+    /// when the group is done.
     pub fn execute(&self, plan: &[RunRequest]) -> usize {
         let mut seen = HashSet::new();
         let unique: Vec<&RunRequest> = plan
@@ -572,16 +600,20 @@ impl Campaign {
             .collect();
         let total = unique.len() as u32;
         let progress = AtomicU64::new(0);
-        unique.par_iter().for_each(|req| {
-            if let Some(b) = registry::by_key(req.key) {
-                let _ = self.run(b.as_ref(), &req.input, req.config, req.rep);
-            }
-            let done = progress.fetch_add(1, Ordering::Relaxed) as u32 + 1;
-            self.emit(Event::CampaignProgress {
-                t: self.wall(),
-                done,
-                total,
-            });
+        affine_groups(&unique).par_iter().for_each(|group| {
+            kepler_sim::with_launch_memo_scope(|| {
+                for req in group {
+                    if let Some(b) = registry::by_key(req.key) {
+                        let _ = self.run(b.as_ref(), &req.input, req.config, req.rep);
+                    }
+                    let done = progress.fetch_add(1, Ordering::Relaxed) as u32 + 1;
+                    self.emit(Event::CampaignProgress {
+                        t: self.wall(),
+                        done,
+                        total,
+                    });
+                }
+            })
         });
         unique.len()
     }
@@ -1337,6 +1369,60 @@ mod tests {
         let unique = c.execute(&[req.clone(), req.clone(), req]);
         assert_eq!(unique, 1);
         assert_eq!(c.stats().simulated, 1);
+    }
+
+    /// Grouped execution shares each (program, input)'s launches across its
+    /// configurations, hands the launch memo back as it found it, and
+    /// measures exactly what per-unit runs on a fresh campaign measure.
+    #[test]
+    fn execute_releases_each_groups_launch_memo_and_matches_per_unit_runs() {
+        let _serial = crate::serial();
+        let configs = [
+            GpuConfigKind::Default,
+            GpuConfigKind::C614,
+            GpuConfigKind::Ecc,
+        ];
+        let plan: Vec<RunRequest> = ["sten", "nn"]
+            .into_iter()
+            .flat_map(|key| {
+                let input = registry::by_key(key).unwrap().inputs()[0].clone();
+                configs.map(|config| RunRequest {
+                    key,
+                    input: input.clone(),
+                    config,
+                    rep: 0,
+                })
+            })
+            .collect();
+        let retained = kepler_sim::exec_cache_retained_bytes();
+        let charged = kepler_sim::exec_cache_charged_bytes();
+        let (hits, _) = kepler_sim::exec_cache_stats();
+        let grouped = Campaign::in_memory();
+        assert_eq!(grouped.execute(&plan), plan.len());
+        assert!(
+            kepler_sim::exec_cache_stats().0 > hits,
+            "later configurations replay the first one's launches"
+        );
+        assert!(kepler_sim::exec_cache_charged_bytes() > charged);
+        assert_eq!(
+            kepler_sim::exec_cache_retained_bytes(),
+            retained,
+            "every group released the entries it inserted"
+        );
+        let fresh = Campaign::in_memory();
+        for req in &plan {
+            let b = registry::by_key(req.key).unwrap();
+            let want = fresh.run(b.as_ref(), &req.input, req.config, 0);
+            let got = grouped.run(b.as_ref(), &req.input, req.config, 0);
+            assert_eq!(
+                format_record(0, "unit", &got),
+                format_record(0, "unit", &want),
+                "{} under {}",
+                req.key,
+                req.config.name()
+            );
+        }
+        assert_eq!(grouped.stats().simulated, plan.len() as u64);
     }
 
     #[test]

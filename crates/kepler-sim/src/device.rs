@@ -81,8 +81,26 @@ pub fn exec_cache_retained_bytes() -> u64 {
     memo::retained_bytes() as u64
 }
 
-/// Drop every cached launch and zero [`exec_cache_stats`]. Tests use this
-/// to observe a cold execution; production code never needs it.
+/// Bytes the process-wide launch pre-execution cache has charged since the
+/// process started, entries released by [`with_launch_memo_scope`]
+/// included. At one campaign thread it is deterministic.
+pub fn exec_cache_charged_bytes() -> u64 {
+    memo::charged_bytes()
+}
+
+/// Run `f`; when it returns (or panics), the launches this thread added to
+/// the process-wide pre-execution cache during `f` leave it and their
+/// bytes are uncharged. Entries added before `f` or by other threads stay,
+/// and an entry a caller still holds stays usable. The campaign wraps each
+/// (program, input) group in one scope, so the group's configurations
+/// share its launches and the memory goes when the group is done.
+pub fn with_launch_memo_scope<R>(f: impl FnOnce() -> R) -> R {
+    memo::scope(f)
+}
+
+/// Drop every cached launch and zero [`exec_cache_stats`] and
+/// [`exec_cache_charged_bytes`]. Tests use this to observe a cold
+/// execution; production code never needs it.
 pub fn reset_exec_cache() {
     memo::reset()
 }

@@ -93,7 +93,8 @@ pub use counters::{KernelCounters, LaunchStats};
 pub use device::devices_created;
 pub use device::devices_replayed;
 pub use device::{
-    exec_cache_retained_bytes, exec_cache_stats, exec_jobs, reset_exec_cache, set_exec_jobs,
+    exec_cache_charged_bytes, exec_cache_retained_bytes, exec_cache_stats, exec_jobs,
+    reset_exec_cache, set_exec_jobs, with_launch_memo_scope,
 };
 pub use device::{Device, ExecStrategy, LaunchOpts};
 pub use footprint::{

@@ -12,13 +12,16 @@
 //! in the process.
 //!
 //! Entries are immutable once inserted (`Arc`), so lookups are cheap and
-//! concurrent campaign workers can share them. A byte budget bounds the
-//! cache: once exceeded, new entries are simply not retained (no eviction —
-//! the campaign's reuse pattern is "same workload, next config", which the
-//! budget comfortably covers).
+//! concurrent campaign workers can share them. An entry lives until the
+//! [`scope`] of the thread that inserted it ends; one inserted outside any
+//! scope lives for the process. The campaign runs each (program, input)
+//! group in one scope, so its configurations share the group's entries and
+//! the entries go when the group is done. A byte budget bounds what is
+//! retained: once exceeded, new entries are simply not retained.
 
 use crate::buffer::Patch;
 use crate::cost::BlockCost;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -54,9 +57,9 @@ impl LaunchEffects {
     }
 }
 
-/// Retained-entry byte budget. A cold `repro all --quick` retains about
-/// 28 MB; 1 GiB leaves room for full-scale inputs without letting a
-/// pathological caller grow without bound.
+/// Retained-entry byte budget. A cold `repro all --quick` charges about
+/// 28 MB over the whole run; 1 GiB leaves room for full-scale inputs
+/// without letting a pathological caller grow without bound.
 const BUDGET_BYTES: usize = 1 << 30;
 
 struct Cache {
@@ -67,6 +70,13 @@ struct Cache {
 static CACHE: OnceLock<Mutex<Cache>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
+/// Bytes charged by every retained insert, released or not.
+static CHARGED: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Keys this thread inserted inside its innermost open [`scope`].
+    static SCOPE: RefCell<Option<Vec<LaunchKey>>> = const { RefCell::new(None) };
+}
 
 fn cache() -> &'static Mutex<Cache> {
     CACHE.get_or_init(|| {
@@ -95,16 +105,49 @@ pub(crate) fn lookup(key: &LaunchKey) -> Option<Arc<LaunchEffects>> {
 /// existing entry releases the old entry's charge before testing the new
 /// one, so N workers racing to insert the same key pay for one copy — not
 /// N — and near-budget replacements are never spuriously rejected.
+///
+/// A new key inserted inside a [`scope`] is released when the scope ends.
+/// A replacement belongs to whoever inserted the key first.
 pub(crate) fn insert(key: LaunchKey, fx: Arc<LaunchEffects>) {
     let add = fx.bytes();
     let mut c = cache().lock().unwrap();
-    let prev = c.map.get(&key).map(|old| old.bytes()).unwrap_or(0);
-    let retained = c.bytes - prev;
+    let prev = c.map.get(&key).map(|old| old.bytes());
+    let retained = c.bytes - prev.unwrap_or(0);
     if retained + add > BUDGET_BYTES {
         return;
     }
+    if prev.is_none() {
+        SCOPE.with(|s| {
+            if let Some(keys) = s.borrow_mut().as_mut() {
+                keys.push(key.clone());
+            }
+        });
+    }
     c.map.insert(key, fx);
     c.bytes = retained + add;
+    CHARGED.fetch_add(add as u64, Ordering::Relaxed);
+}
+
+/// Run `f`, then remove the entries this thread inserted during it and
+/// uncharge their bytes, even if `f` panics. Entries inserted before the
+/// scope or by other threads stay, a caller holding an entry's `Arc`
+/// keeps it, and the hit and miss counters are not touched. An inner
+/// scope releases its own entries; the outer one releases the rest.
+pub(crate) fn scope<R>(f: impl FnOnce() -> R) -> R {
+    struct Release(Option<Vec<LaunchKey>>);
+    impl Drop for Release {
+        fn drop(&mut self) {
+            let keys = SCOPE.with(|s| std::mem::replace(&mut *s.borrow_mut(), self.0.take()));
+            let mut c = cache().lock().unwrap_or_else(|e| e.into_inner());
+            for key in keys.into_iter().flatten() {
+                if let Some(fx) = c.map.remove(&key) {
+                    c.bytes -= fx.bytes();
+                }
+            }
+        }
+    }
+    let _release = Release(SCOPE.with(|s| s.borrow_mut().replace(Vec::new())));
+    f()
 }
 
 /// (hits, misses) since process start (or the last [`reset`]).
@@ -117,6 +160,12 @@ pub(crate) fn retained_bytes() -> usize {
     cache().lock().expect("memo lock poisoned").bytes
 }
 
+/// Bytes charged since process start (or the last [`reset`]), including
+/// entries a [`scope`] has since released.
+pub(crate) fn charged_bytes() -> u64 {
+    CHARGED.load(Ordering::Relaxed)
+}
+
 /// Drop every entry and zero the stats. For tests that must observe a cold
 /// miss (e.g. to exercise the sharded execution path a second time).
 pub(crate) fn reset() {
@@ -125,6 +174,7 @@ pub(crate) fn reset() {
     c.bytes = 0;
     HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
+    CHARGED.store(0, Ordering::Relaxed);
 }
 
 /// Tests touching the process-global cache (here and in `device`) hold this
@@ -236,6 +286,71 @@ mod tests {
         insert(key(9), effects(10));
         let c = cache().lock().unwrap();
         assert_eq!(c.bytes, effects(10).bytes());
+    }
+
+    #[test]
+    fn scope_releases_exactly_its_threads_inserts() {
+        let _g = test_guard();
+        reset();
+        insert(key(1), effects(1));
+        let (held, stats_inside) = scope(|| {
+            insert(key(2), effects(2));
+            insert(key(3), effects(3));
+            // A replacement belongs to the key's first inserter.
+            insert(key(1), effects(1));
+            std::thread::scope(|s| {
+                s.spawn(|| insert(key(4), effects(4)));
+            });
+            (lookup(&key(2)).expect("live inside the scope"), stats())
+        });
+        assert_eq!(stats(), stats_inside, "releasing counts no hit or miss");
+        assert_eq!(
+            retained_bytes(),
+            effects(1).bytes() + effects(4).bytes(),
+            "only the scope's own entries are uncharged"
+        );
+        let charged = 2 * effects(1).bytes() + effects(2).bytes();
+        let charged = charged + effects(3).bytes() + effects(4).bytes();
+        assert_eq!(
+            charged_bytes(),
+            charged as u64,
+            "released bytes stay counted"
+        );
+        assert!(lookup(&key(1)).is_some(), "inserted before the scope");
+        assert!(lookup(&key(4)).is_some(), "inserted by another thread");
+        assert!(lookup(&key(2)).is_none() && lookup(&key(3)).is_none());
+        assert_eq!(held.costs.len(), 2, "a held entry stays usable");
+        assert_eq!(held.writes.bytes(), effects(2).writes.bytes());
+    }
+
+    #[test]
+    fn nested_and_panicking_scopes_release_their_own_entries() {
+        let _g = test_guard();
+        reset();
+        scope(|| {
+            insert(key(6), effects(1));
+            scope(|| insert(key(7), effects(1)));
+            assert!(
+                lookup(&key(7)).is_none(),
+                "the inner scope released its entry"
+            );
+            assert!(lookup(&key(6)).is_some(), "the outer scope's entry waits");
+        });
+        assert!(lookup(&key(6)).is_none());
+        let unwound = std::panic::catch_unwind(|| {
+            scope(|| {
+                insert(key(8), effects(1));
+                panic!("a unit failed mid-group");
+            })
+        });
+        assert!(unwound.is_err());
+        assert!(
+            lookup(&key(8)).is_none(),
+            "a panicking scope still releases"
+        );
+        assert_eq!(retained_bytes(), 0);
+        insert(key(9), effects(1));
+        assert!(lookup(&key(9)).is_some(), "no scope is left open");
     }
 
     #[test]

@@ -282,11 +282,6 @@ impl Server {
         Arc::clone(&self.shutdown)
     }
 
-    /// The shared state (tests read gauges through it).
-    pub fn state(&self) -> Arc<ServeState> {
-        Arc::clone(&self.state)
-    }
-
     /// Serve until shutdown is requested (handle or signal), then drain:
     /// stop accepting, finish every admitted job, join the workers, wait
     /// for in-flight connections.
@@ -1066,7 +1061,7 @@ mod tests {
             ..ServerConfig::default()
         })
         .expect("bind ephemeral");
-        let state = server.state();
+        let state = &server.state;
         state
             .metrics
             .observe(Endpoint::Runs, 200, Duration::from_millis(3));
@@ -1077,7 +1072,7 @@ mod tests {
             .metrics
             .observe(Endpoint::Healthz, 200, Duration::from_micros(80));
 
-        let text = prometheus_body(&state);
+        let text = prometheus_body(state);
         let mut series: Vec<(&str, f64)> = Vec::new();
         let mut helped = Vec::new();
         let mut typed = Vec::new();
@@ -1113,7 +1108,7 @@ mod tests {
                 .map(|(_, v)| *v)
                 .unwrap_or_else(|| panic!("missing series {k}"))
         };
-        let doc = metrics_body(&state);
+        let doc = metrics_body(state);
         // The launch memo is process-global and other tests may move it
         // between the two scrapes, so only its series are checked here.
         let process = doc.get("process").unwrap();
