@@ -25,11 +25,13 @@
 //! closing summary on stderr reports `simulated=`/`memo_hits=`/
 //! `disk_hits=` counters.
 //!
-//! `--trace-dir DIR` additionally records each program's launch trace to
-//! DIR on cold functional runs and *replays* from it on later runs whose
-//! campaign records are absent (e.g. a fresh `--cache-dir`): replayed
-//! units re-simulate timing/power from the trace without functional
-//! execution, bit-identically. See `docs/TRACE.md`.
+//! Every functional run records its program's launch trace, and later
+//! configurations and reps of that program *replay* it: replayed units
+//! re-simulate timing/power from the trace without functional execution,
+//! bit-identically. The traces live in memory unless `--trace-dir DIR`
+//! keeps them in DIR, where later runs whose campaign records are absent
+//! (e.g. a fresh `--cache-dir`) replay them too. The closing summary
+//! reports `trace_replays=` and the trace DB's size. See `docs/TRACE.md`.
 
 use characterize::analysis::{render_static_analysis, static_analysis};
 use characterize::cache::{cache_sensitivity, render_cache_sensitivity};
@@ -211,11 +213,11 @@ fn main() {
     }
 
     let stats = campaign.stats();
-    let (pre_hits, pre_misses) = kepler_sim::exec_cache_stats();
-    let retained_mb = kepler_sim::exec_cache_retained_bytes() as f64 / 1e6;
-    let charged_mb = kepler_sim::exec_cache_charged_bytes() as f64 / 1e6;
+    let traces = campaign.trace_usage();
     eprintln!(
-        "[repro] done in {:?} | requested={raw} unique={unique} | {stats} | pre-exec hits={pre_hits} misses={pre_misses} retained={retained_mb:.1}MB charged={charged_mb:.1}MB",
-        t0.elapsed()
+        "[repro] done in {:?} | requested={raw} unique={unique} | {stats} | trace-db traces={} bytes={:.2}MB",
+        t0.elapsed(),
+        traces.traces,
+        traces.bytes as f64 / 1e6
     );
 }

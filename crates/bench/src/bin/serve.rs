@@ -16,10 +16,12 @@
 //!                 shared with `repro` so a warm `repro` run pre-warms the
 //!                 service)
 //! --no-cache      in-process memoization only
-//! --trace-dir DIR launch-trace database: record traces on cold runs and
-//!                 re-simulate later units (any configuration — this is
-//!                 what makes fine /v1/sweep grids cheap) from them
-//!                 without functional execution; see docs/TRACE.md
+//! --trace-dir DIR keep the launch-trace database in DIR, across restarts
+//!                 (default: in memory). Functional runs record traces,
+//!                 and later units of a recorded program (any
+//!                 configuration — this is what makes fine /v1/sweep
+//!                 grids cheap) re-simulate from them without functional
+//!                 execution; see docs/TRACE.md
 //! --reps R        default repetitions for /v1/artifacts (default 3, the
 //!                 paper's methodology and the goldens' setting)
 //! --timeout-s S   per-request job deadline (default 300)

@@ -16,6 +16,11 @@
 //!   requests cannot double-simulate;
 //! * **memoizes** — results (including *measurement failures*, the paper's
 //!   324-MHz exclusions) are kept in-process and served to every artifact;
+//! * **replays** — the first functional run of a (program, input, memory
+//!   model) records its launch trace into the campaign's trace DB
+//!   ([`crate::tracedb`], in memory unless a trace directory is given), and
+//!   every later configuration, rep and sweep point of it re-simulates
+//!   timing and power from that trace, without functional execution;
 //! * **persists** — each unit is written to a content-addressed on-disk
 //!   cache keyed by `(workload key, input, config, rep, seed, sim-version
 //!   fingerprint)` in a versioned plain-text record. Corrupt or truncated
@@ -28,10 +33,10 @@
 
 use crate::configs::GpuConfigKind;
 use crate::experiment::{
-    combine_median3, measure_from_trace, measure_with_device_config,
-    measure_with_device_config_recording, run_seed, Measurement, MedianMeasurement,
+    combine_median3, measure_from_trace, measure_with_device_config_recording, run_seed,
+    Measurement, MedianMeasurement,
 };
-use crate::tracedb::{trace_key, StoredTrace, TraceDb};
+use crate::tracedb::{trace_key, StoredTrace, TraceDb, TraceUsage};
 use gpower::{PowerError, Reading};
 use kepler_sim::{fnv1a64, ClockConfig, DeviceConfig, KernelCounters};
 use rayon::prelude::*;
@@ -448,10 +453,11 @@ pub struct CampaignConfig {
     pub cache_dir: Option<PathBuf>,
     /// Optional sink for `CacheLookup` / `CampaignProgress` events.
     pub telemetry: Option<Arc<dyn TelemetrySink>>,
-    /// Directory of the launch-trace database ([`crate::tracedb`]). `None`
-    /// disables trace recording and replay. When set, units whose program
-    /// has a recorded trace are re-simulated from it (no functional
-    /// execution), and cold functional runs record one.
+    /// Directory of the launch-trace database ([`crate::tracedb`]), whose
+    /// traces then outlive the process. `None` keeps the campaign's traces
+    /// in memory. Either way, units whose program has a recorded trace are
+    /// re-simulated from it (no functional execution), and functional runs
+    /// record one.
     pub trace_dir: Option<PathBuf>,
 }
 
@@ -470,6 +476,28 @@ impl CampaignState {
             self.cached_errors += 1;
         }
         self.memo.insert(ckey, res);
+    }
+}
+
+/// Ownership of one in-flight unit. Dropping it, however the owner's
+/// resolution ends, takes the key out of `inflight` and wakes the waiters,
+/// so a unit whose run panics leaves the next request a retry rather than
+/// a key that never resolves.
+struct InFlight<'a> {
+    campaign: &'a Campaign,
+    key: &'a str,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut g = self
+            .campaign
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        g.inflight.remove(self.key);
+        drop(g);
+        self.campaign.done.notify_all();
     }
 }
 
@@ -502,7 +530,7 @@ pub struct Campaign {
     started: Instant,
     state: Mutex<CampaignState>,
     done: Condvar,
-    trace_db: Option<TraceDb>,
+    trace_db: TraceDb,
     simulated: AtomicU64,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
@@ -520,7 +548,10 @@ impl Campaign {
             started: Instant::now(),
             state: Mutex::new(CampaignState::default()),
             done: Condvar::new(),
-            trace_db: cfg.trace_dir.map(|d| TraceDb::new(d, sim_fingerprint())),
+            trace_db: match cfg.trace_dir {
+                Some(dir) => TraceDb::new(dir, sim_fingerprint()),
+                None => TraceDb::in_memory(sim_fingerprint()),
+            },
             simulated: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -558,9 +589,14 @@ impl Campaign {
             in_flight,
             cached_errors,
             trace_replays: self.trace_replays.load(Ordering::Relaxed),
-            trace_stale: self.trace_db.as_ref().map_or(0, |db| db.stale()),
-            trace_corrupt: self.trace_db.as_ref().map_or(0, |db| db.corrupt()),
+            trace_stale: self.trace_db.stale(),
+            trace_corrupt: self.trace_db.corrupt(),
         }
+    }
+
+    /// The traces the campaign's trace DB holds and their encoded bytes.
+    pub fn trace_usage(&self) -> TraceUsage {
+        self.trace_db.usage()
     }
 
     /// Whether the in-process memo holds `key`'s result or its cached
@@ -588,10 +624,9 @@ impl Campaign {
     /// by cache identity. Returns the number of unique units resolved.
     ///
     /// The units run in (program, input) groups ([`affine_groups`]). A
-    /// group runs on one pool thread, in plan order, inside one launch-memo
-    /// scope: its first configuration's functional execution serves the
-    /// other configurations, and the memo entries it made are released
-    /// when the group is done.
+    /// group runs on one pool thread, in plan order: its first unit of each
+    /// memory model records the trace, and the group's other
+    /// configurations and reps replay it.
     pub fn execute(&self, plan: &[RunRequest]) -> usize {
         let mut seen = HashSet::new();
         let unique: Vec<&RunRequest> = plan
@@ -601,26 +636,25 @@ impl Campaign {
         let total = unique.len() as u32;
         let progress = AtomicU64::new(0);
         affine_groups(&unique).par_iter().for_each(|group| {
-            kepler_sim::with_launch_memo_scope(|| {
-                for req in group {
-                    if let Some(b) = registry::by_key(req.key) {
-                        let _ = self.run(b.as_ref(), &req.input, req.config, req.rep);
-                    }
-                    let done = progress.fetch_add(1, Ordering::Relaxed) as u32 + 1;
-                    self.emit(Event::CampaignProgress {
-                        t: self.wall(),
-                        done,
-                        total,
-                    });
+            for req in group {
+                if let Some(b) = registry::by_key(req.key) {
+                    let _ = self.run(b.as_ref(), &req.input, req.config, req.rep);
                 }
-            })
+                let done = progress.fetch_add(1, Ordering::Relaxed) as u32 + 1;
+                self.emit(Event::CampaignProgress {
+                    t: self.wall(),
+                    done,
+                    total,
+                });
+            }
         });
         unique.len()
     }
 
     /// One unit of the matrix, memoized: serve from the in-process memo,
-    /// else from disk, else simulate (exactly once per process — a second
-    /// concurrent request for the same unit waits for the first).
+    /// else from disk, else replay the program's recorded trace, else
+    /// simulate (exactly once per process — a second concurrent request
+    /// for the same unit waits for the first).
     pub fn run(
         &self,
         bench: &dyn Benchmark,
@@ -678,11 +712,11 @@ impl Campaign {
         )
     }
 
-    /// Resolve one unit under an explicit device configuration, with the
-    /// trace DB (when configured) consulted between the record caches and
-    /// functional execution: memo -> disk -> **trace replay** -> simulate
-    /// (recording a trace for next time). The trace comes from `trace`
-    /// when an earlier unit of the same sweep already loaded it.
+    /// Resolve one unit under an explicit device configuration: memo ->
+    /// disk -> **trace replay** -> simulate, recording the functional run's
+    /// trace (when every launch was recordable) for the units after it.
+    /// The trace comes from `trace` when an earlier unit of the same sweep
+    /// already loaded it.
     fn resolve_unit(
         &self,
         ckey: String,
@@ -693,22 +727,19 @@ impl Campaign {
         trace: &SweepTrace,
     ) -> Result<Measurement, PowerError> {
         let key = bench.spec().key;
+        let tkey = || Self::unit_trace_key(bench, input, &cfg);
         self.resolve(
             ckey,
-            || match &self.trace_db {
-                Some(db) => {
-                    let (res, stored) =
-                        measure_with_device_config_recording(bench, input, cfg.clone(), rep);
-                    if let Some(st) = stored {
-                        db.store(&Self::unit_trace_key(bench, input, &cfg), &st);
-                    }
-                    res
+            || {
+                let (res, stored) =
+                    measure_with_device_config_recording(bench, input, cfg.clone(), rep);
+                if let Some(st) = stored {
+                    self.trace_db.store(&tkey(), &st);
                 }
-                None => measure_with_device_config(bench, input, cfg.clone(), rep),
+                res
             },
             || {
-                let db = self.trace_db.as_ref()?;
-                let st = trace.load(db, &Self::unit_trace_key(bench, input, &cfg))?;
+                let st = trace.load(&self.trace_db, &tkey())?;
                 Some(measure_from_trace(key, input, cfg.clone(), rep, &st))
             },
         )
@@ -813,26 +844,31 @@ impl Campaign {
             }
             g.inflight.insert(ckey.clone());
         }
-        // Replay or simulate outside the lock so the pool keeps stealing
-        // work. A trace replay re-simulates timing/power from the recorded
-        // launch stream — no functional execution — and is counted apart.
-        let res = match replay() {
-            Some(res) => {
-                self.trace_replays.fetch_add(1, Ordering::Relaxed);
-                res
-            }
-            None => {
-                let res = simulate();
-                self.simulated.fetch_add(1, Ordering::Relaxed);
-                res
-            }
+        let res = {
+            let _owner = InFlight {
+                campaign: self,
+                key: &ckey,
+            };
+            // Replay or simulate outside the lock so the pool keeps
+            // stealing work. A trace replay re-simulates timing/power from
+            // the recorded launch stream — no functional execution — and is
+            // counted apart.
+            let res = match replay() {
+                Some(res) => {
+                    self.trace_replays.fetch_add(1, Ordering::Relaxed);
+                    res
+                }
+                None => {
+                    let res = simulate();
+                    self.simulated.fetch_add(1, Ordering::Relaxed);
+                    res
+                }
+            };
+            self.store_record(&ckey, &res);
+            let mut g = self.state.lock().expect("campaign state poisoned");
+            g.memoize(ckey.clone(), res.clone());
+            res
         };
-        self.store_record(&ckey, &res);
-        let mut g = self.state.lock().unwrap();
-        g.memoize(ckey.clone(), res.clone());
-        g.inflight.remove(&ckey);
-        drop(g);
-        self.done.notify_all();
         self.emit(Event::CacheLookup {
             t: self.wall(),
             key: ckey,
@@ -1183,7 +1219,7 @@ pub fn purge_cache(dir: &Path) -> std::io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::measure_median3;
+    use crate::experiment::{measure_median3, measure_with_device_config};
     use std::sync::atomic::AtomicU32;
 
     static TEST_DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -1224,14 +1260,16 @@ mod tests {
         let input = &b.inputs()[0];
         let direct = measure_median3(b.as_ref(), input, GpuConfigKind::Default, 0).unwrap();
 
-        // Cold campaign: simulates, persists.
+        // Cold campaign: rep 0 simulates and records, reps 1 and 2 replay
+        // its trace; all three persist.
         let c1 = disk_campaign(&dir);
         let m1 = c1
             .median3(b.as_ref(), input, GpuConfigKind::Default)
             .unwrap();
         assert!(readings_bit_identical(&m1.reading, &direct.reading));
         assert_eq!(m1.counters, direct.counters);
-        assert_eq!(c1.stats().simulated, 3);
+        let s = c1.stats();
+        assert_eq!((s.simulated, s.trace_replays), (1, 2), "{s}");
 
         // Warm campaign, same directory: serves the records from disk
         // without touching the simulator, bit-identical.
@@ -1371,11 +1409,11 @@ mod tests {
         assert_eq!(c.stats().simulated, 1);
     }
 
-    /// Grouped execution shares each (program, input)'s launches across its
-    /// configurations, hands the launch memo back as it found it, and
-    /// measures exactly what per-unit runs on a fresh campaign measure.
+    /// Grouped execution records each (program, input)'s trace under its
+    /// first configuration and replays it for the others, measuring exactly
+    /// what direct functional runs measure.
     #[test]
-    fn execute_releases_each_groups_launch_memo_and_matches_per_unit_runs() {
+    fn execute_replays_each_groups_later_configurations_and_matches_direct_runs() {
         let _serial = crate::serial();
         let configs = [
             GpuConfigKind::Default,
@@ -1394,25 +1432,17 @@ mod tests {
                 })
             })
             .collect();
-        let retained = kepler_sim::exec_cache_retained_bytes();
-        let charged = kepler_sim::exec_cache_charged_bytes();
-        let (hits, _) = kepler_sim::exec_cache_stats();
         let grouped = Campaign::in_memory();
+        let replayed = kepler_sim::devices_replayed();
         assert_eq!(grouped.execute(&plan), plan.len());
-        assert!(
-            kepler_sim::exec_cache_stats().0 > hits,
-            "later configurations replay the first one's launches"
-        );
-        assert!(kepler_sim::exec_cache_charged_bytes() > charged);
-        assert_eq!(
-            kepler_sim::exec_cache_retained_bytes(),
-            retained,
-            "every group released the entries it inserted"
-        );
-        let fresh = Campaign::in_memory();
+        let s = grouped.stats();
+        assert_eq!((s.simulated, s.trace_replays), (2, 4), "{s}");
+        assert_eq!(kepler_sim::devices_replayed(), replayed + 4);
+        assert_eq!(grouped.trace_usage().traces, 2, "one trace per program");
         for req in &plan {
             let b = registry::by_key(req.key).unwrap();
-            let want = fresh.run(b.as_ref(), &req.input, req.config, 0);
+            let cfg = req.config.device_config();
+            let want = measure_with_device_config(b.as_ref(), &req.input, cfg, 0);
             let got = grouped.run(b.as_ref(), &req.input, req.config, 0);
             assert_eq!(
                 format_record(0, "unit", &got),
@@ -1422,7 +1452,58 @@ mod tests {
                 req.config.name()
             );
         }
-        assert_eq!(grouped.stats().simulated, plan.len() as u64);
+        assert_eq!(grouped.stats().memo_hits, plan.len() as u64);
+    }
+
+    /// A program whose run panics: every call panics, and none may wait
+    /// forever on a key an earlier panicking call left in flight.
+    struct Panics;
+
+    impl Benchmark for Panics {
+        fn spec(&self) -> workloads::bench::BenchSpec {
+            workloads::bench::BenchSpec {
+                key: "panics",
+                name: "PANICS",
+                suite: workloads::bench::Suite::Shoc,
+                kernels: 1,
+                regular: true,
+                description: "panics in every run",
+            }
+        }
+        fn inputs(&self) -> Vec<InputSpec> {
+            vec![InputSpec::new("one", 1, 0, 0, 1.0)]
+        }
+        fn run(
+            &self,
+            _dev: &mut kepler_sim::Device,
+            _input: &InputSpec,
+        ) -> workloads::bench::RunOutput {
+            panic!("the program failed its own check")
+        }
+    }
+
+    fn run_panics(c: &Campaign) -> bool {
+        let input = &Panics.inputs()[0];
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.run(&Panics, input, GpuConfigKind::Default, 0)
+        }))
+        .is_err()
+    }
+
+    #[test]
+    fn a_panicking_unit_releases_its_key() {
+        let _serial = crate::serial();
+        let c = Arc::new(Campaign::in_memory());
+        assert!(run_panics(&c), "the unit panics");
+        // The same unit again, on another thread: it must run (and panic)
+        // rather than wait forever for the first call's result.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let again = c.clone();
+        let retry = std::thread::spawn(move || tx.send(run_panics(&again)));
+        let retried = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(retried, Ok(true), "the retry waited on a dead key");
+        retry.join().expect("retry thread").expect("result sent");
+        assert_eq!(c.stats().in_flight, 0, "both panics released the key");
     }
 
     #[test]
@@ -1545,8 +1626,14 @@ mod tests {
         let named = c.run(b.as_ref(), input, GpuConfigKind::C614, 0).unwrap();
         let swept = c.run_sweep_point(b.as_ref(), input, p, 0).unwrap();
         assert!(readings_bit_identical(&named.reading, &swept.reading));
-        // Distinct cache identities: both simulated despite equal configs.
-        assert_eq!(c.stats().simulated, 2);
+        // Distinct cache identities: the point is no memo hit, but it
+        // shares the named run's trace identity and replays it.
+        let s = c.stats();
+        assert_eq!(
+            (s.simulated, s.memo_hits, s.trace_replays),
+            (1, 0, 1),
+            "{s}"
+        );
     }
 
     /// Interpolated voltages stay monotone and clamped inside the ladder.

@@ -42,7 +42,7 @@ pub use experiment::{
 pub use sanity::{
     measure_traced_checked, sanitize_run, sanitize_run_raw, workload_allowlist, SanitizedRun,
 };
-pub use tracedb::{trace_key, StoredTrace, TraceDb, TRACE_FORMAT};
+pub use tracedb::{trace_key, StoredTrace, TraceDb, TraceUsage, TRACE_FORMAT};
 
 /// Serializes this crate's tests that create simulated devices.
 /// `kepler_sim::devices_created()` is process-global, so a test that

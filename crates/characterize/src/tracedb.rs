@@ -1,4 +1,4 @@
-//! The on-disk launch-trace database (format v3).
+//! The launch-trace database.
 //!
 //! Persists one [`RunTrace`] per *(program, input)* — note: per program
 //! input, **not** per configuration or repetition. The recorded functional
@@ -19,6 +19,13 @@
 //!   hash of its encoded payload and therefore deduplicated across
 //!   manifests; the hash is re-verified on load.
 //!
+//! ## Backends
+//!
+//! [`TraceDb::new`] keeps those files in a directory, where they outlive
+//! the process; [`TraceDb::in_memory`] keeps the same bytes, by the same
+//! names, for one process. Both go through the same [`TraceDb::store`] and
+//! [`TraceDb::load`], checks and counters included.
+//!
 //! ## Invalidation
 //!
 //! A manifest embeds the same model fingerprint the campaign cache uses,
@@ -31,8 +38,10 @@
 use crate::campaign::{fbits, parse_fbits};
 use kepler_sim::fnv1a64;
 use kepler_sim::{decode_launch, encode_launch, RunTrace, TraceOp};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use workloads::bench::ItemCounts;
 
 /// Version tag of the trace key and on-disk layout. Bump on any change to
@@ -54,11 +63,28 @@ pub struct StoredTrace {
     pub items: Option<ItemCounts>,
 }
 
-/// Handle on one trace directory. Cheap to construct; all methods are
-/// `&self` and thread-safe (counters are atomics, file writes go through
+/// What a [`TraceDb`] holds ([`TraceDb::usage`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceUsage {
+    /// Stored traces (manifests).
+    pub traces: u64,
+    /// Encoded bytes of the manifests and launch records together.
+    pub bytes: u64,
+}
+
+/// Where a [`TraceDb`] keeps its files.
+enum Files {
+    /// One file per name in a directory.
+    Dir(PathBuf),
+    /// Each file's bytes by name, for this process only.
+    Memory(Mutex<HashMap<String, Vec<u8>>>),
+}
+
+/// Handle on one trace store. Cheap to construct; all methods are `&self`
+/// and thread-safe (counters are atomics, directory writes go through
 /// unique temporaries + rename).
 pub struct TraceDb {
-    dir: PathBuf,
+    files: Files,
     fingerprint: u64,
     stale: AtomicU64,
     corrupt: AtomicU64,
@@ -70,19 +96,23 @@ impl TraceDb {
     /// is the campaign's [`crate::campaign::sim_fingerprint`]; the DB folds
     /// its own format version on top so either kind of change invalidates.
     pub fn new(dir: PathBuf, model_fingerprint: u64) -> Self {
+        Self::with_files(Files::Dir(dir), model_fingerprint)
+    }
+
+    /// An empty store that keeps its files in memory, for this process.
+    pub fn in_memory(model_fingerprint: u64) -> Self {
+        Self::with_files(Files::Memory(Mutex::default()), model_fingerprint)
+    }
+
+    fn with_files(files: Files, model_fingerprint: u64) -> Self {
         let ident = format!("{model_fingerprint:016x}|trace-{TRACE_FORMAT}");
         Self {
-            dir,
+            files,
             fingerprint: fnv1a64(ident.as_bytes()),
             stale: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
         }
-    }
-
-    /// The directory this DB reads and writes.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Manifests rejected for a fingerprint mismatch so far.
@@ -95,13 +125,57 @@ impl TraceDb {
         self.corrupt.load(Ordering::Relaxed)
     }
 
-    fn manifest_path(&self, tkey: &str) -> PathBuf {
-        self.dir
-            .join(format!("{:016x}.tman", fnv1a64(tkey.as_bytes())))
+    /// The stored traces and their encoded bytes. Lists the directory of a
+    /// directory DB, so it also counts what earlier processes stored.
+    pub fn usage(&self) -> TraceUsage {
+        let mut usage = TraceUsage::default();
+        let mut add = |name: &str, len: u64| {
+            if name.ends_with(".tman") {
+                usage.traces += 1;
+                usage.bytes += len;
+            } else if name.ends_with(".tlr") {
+                usage.bytes += len;
+            }
+        };
+        match &self.files {
+            Files::Dir(dir) => {
+                for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+                    if let (Some(name), Ok(meta)) = (entry.file_name().to_str(), entry.metadata()) {
+                        add(name, meta.len());
+                    }
+                }
+            }
+            Files::Memory(files) => {
+                for (name, bytes) in files.lock().expect("trace store poisoned").iter() {
+                    add(name, bytes.len() as u64);
+                }
+            }
+        }
+        usage
     }
 
-    fn launch_path(&self, hash: u64) -> PathBuf {
-        self.dir.join(format!("{hash:016x}.tlr"))
+    /// The bytes of the file `name`, if it exists.
+    fn read(&self, name: &str) -> Option<Vec<u8>> {
+        match &self.files {
+            Files::Dir(dir) => std::fs::read(dir.join(name)).ok(),
+            Files::Memory(files) => files
+                .lock()
+                .expect("trace store poisoned")
+                .get(name)
+                .cloned(),
+        }
+    }
+
+    /// Replace the file `name` with `bytes`; false if that failed.
+    fn write(&self, name: &str, bytes: &[u8]) -> bool {
+        match &self.files {
+            Files::Dir(dir) => self.write_atomic(&dir.join(name), bytes),
+            Files::Memory(files) => {
+                let mut files = files.lock().expect("trace store poisoned");
+                files.insert(name.to_string(), bytes.to_vec());
+                true
+            }
+        }
     }
 
     /// Load the trace stored under `tkey`. `None` on a plain miss (no
@@ -111,8 +185,9 @@ impl TraceDb {
     /// manifest does not list. Defects bump [`TraceDb::stale`] /
     /// [`TraceDb::corrupt`]; the caller re-runs functionally.
     pub fn load(&self, tkey: &str) -> Option<StoredTrace> {
-        let body = std::fs::read_to_string(self.manifest_path(tkey)).ok()?;
-        let (fp, key, memmodel, checksum, items, hashes, ops) = match parse_manifest(&body) {
+        let body = self.read(&manifest_name(tkey))?;
+        let parsed = std::str::from_utf8(&body).ok().and_then(parse_manifest);
+        let (fp, key, memmodel, checksum, items, hashes, ops) = match parsed {
             Some(m) => m,
             None => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
@@ -138,9 +213,9 @@ impl TraceDb {
         }
         let mut launches = Vec::with_capacity(hashes.len());
         for h in &hashes {
-            let payload = match std::fs::read(self.launch_path(*h)) {
-                Ok(p) => p,
-                Err(_) => {
+            let payload = match self.read(&launch_name(*h)) {
+                Some(p) => p,
+                None => {
                     self.corrupt.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
@@ -179,22 +254,24 @@ impl TraceDb {
     /// `.tlr` across manifests; an existing record is rewritten only when
     /// its bytes differ from the payload (a corrupt record heals).
     pub fn store(&self, tkey: &str, st: &StoredTrace) {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return;
+        if let Files::Dir(dir) = &self.files {
+            if std::fs::create_dir_all(dir).is_err() {
+                return;
+            }
         }
         let mut hashes = Vec::with_capacity(st.run.launches.len());
         for lt in &st.run.launches {
             let payload = encode_launch(lt);
             let hash = fnv1a64(&payload);
             hashes.push(hash);
-            let path = self.launch_path(hash);
-            let intact = std::fs::read(&path).is_ok_and(|on_disk| on_disk == payload);
-            if !intact && !self.write_atomic(&path, &payload) {
+            let name = launch_name(hash);
+            let intact = self.read(&name).is_some_and(|held| held == payload);
+            if !intact && !self.write(&name, &payload) {
                 return;
             }
         }
         let body = format_manifest(self.fingerprint, tkey, st, &hashes);
-        let _ = self.write_atomic(&self.manifest_path(tkey), body.as_bytes());
+        let _ = self.write(&manifest_name(tkey), body.as_bytes());
     }
 
     /// Unique-temporary + rename so concurrent writers (three reps of one
@@ -220,6 +297,16 @@ impl TraceDb {
 /// the recorded per-block costs carry model-dependent cache-tier counters.
 pub fn trace_key(spec_cache_key: &str, input_cache_key: &str, mem_tag: &str) -> String {
     format!("{TRACE_FORMAT}|{spec_cache_key}|{input_cache_key}|mem={mem_tag}")
+}
+
+/// File name of `tkey`'s manifest.
+fn manifest_name(tkey: &str) -> String {
+    format!("{:016x}.tman", fnv1a64(tkey.as_bytes()))
+}
+
+/// File name of the launch record whose payload hashes to `hash`.
+fn launch_name(hash: u64) -> String {
+    format!("{hash:016x}.tlr")
 }
 
 /// The memory-model component of a [`trace_key`].
@@ -323,6 +410,8 @@ mod tests {
     use super::*;
     use kepler_sim::cost::BlockCost;
     use kepler_sim::{KernelResources, LaunchTrace};
+    use proptest::collection;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicU32;
 
     static TEST_DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -336,6 +425,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The two backends every store/load test runs against.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Dir,
+        Memory,
+    }
+
+    const KINDS: [Kind; 2] = [Kind::Dir, Kind::Memory];
+
+    /// A fresh, empty DB of `kind` (a new scratch directory for `Dir`).
+    fn open(kind: Kind, tag: &str, fingerprint: u64) -> TraceDb {
+        match kind {
+            Kind::Dir => TraceDb::new(scratch_dir(tag), fingerprint),
+            Kind::Memory => TraceDb::in_memory(fingerprint),
+        }
+    }
+
+    /// Delete a directory DB's files.
+    fn discard(db: TraceDb) {
+        if let Files::Dir(dir) = &db.files {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    /// Names of the files `db` holds with extension `ext`, sorted.
+    fn names(db: &TraceDb, ext: &str) -> Vec<String> {
+        let mut names: Vec<String> = match &db.files {
+            Files::Dir(dir) => std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect(),
+            Files::Memory(files) => files.lock().unwrap().keys().cloned().collect(),
+        };
+        names.retain(|n| n.ends_with(&format!(".{ext}")));
+        names.sort();
+        names
+    }
+
+    fn remove(db: &TraceDb, name: &str) {
+        match &db.files {
+            Files::Dir(dir) => std::fs::remove_file(dir.join(name)).unwrap(),
+            Files::Memory(files) => {
+                files.lock().unwrap().remove(name).unwrap();
+            }
+        }
+    }
+
+    fn manifest_text(db: &TraceDb, tkey: &str) -> String {
+        String::from_utf8(db.read(&manifest_name(tkey)).unwrap()).unwrap()
     }
 
     fn sample_stored() -> StoredTrace {
@@ -387,129 +527,137 @@ mod tests {
 
     #[test]
     fn store_load_round_trips_bitwise() {
-        let dir = scratch_dir("roundtrip");
-        let db = TraceDb::new(dir.clone(), 0xABCD);
-        let tkey = trace_key("spec@k2", "in#n8", "flat");
-        assert!(db.load(&tkey).is_none(), "miss before store");
-        let st = sample_stored();
-        db.store(&tkey, &st);
-        let back = db.load(&tkey).expect("stored trace loads");
-        assert_eq!(back, st);
-        assert_eq!(back.checksum.to_bits(), st.checksum.to_bits());
-        assert_eq!((db.stale(), db.corrupt()), (0, 0));
-        let _ = std::fs::remove_dir_all(&dir);
+        for kind in KINDS {
+            let db = open(kind, "roundtrip", 0xABCD);
+            let tkey = trace_key("spec@k2", "in#n8", "flat");
+            assert!(db.load(&tkey).is_none(), "{kind:?}: miss before store");
+            assert_eq!(db.usage(), TraceUsage::default());
+            let st = sample_stored();
+            db.store(&tkey, &st);
+            let back = db.load(&tkey).expect("stored trace loads");
+            assert_eq!(back, st, "{kind:?}");
+            assert_eq!(back.checksum.to_bits(), st.checksum.to_bits());
+            assert_eq!((db.stale(), db.corrupt()), (0, 0));
+            let bytes = manifest_text(&db, &tkey).len() + encode_launch(&st.run.launches[0]).len();
+            let usage = TraceUsage {
+                traces: 1,
+                bytes: bytes as u64,
+            };
+            assert_eq!(db.usage(), usage, "{kind:?}: one manifest, one record");
+            discard(db);
+        }
     }
 
     #[test]
     fn content_addressing_deduplicates_launch_records() {
-        let dir = scratch_dir("dedup");
-        let db = TraceDb::new(dir.clone(), 1);
-        let st = sample_stored();
-        db.store(&trace_key("a", "x", "flat"), &st);
-        db.store(&trace_key("b", "y", "flat"), &st);
-        let tlrs = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| e.as_ref().unwrap().path().extension().map(|x| x == "tlr") == Some(true))
-            .count();
-        assert_eq!(tlrs, 1, "identical launches share one record");
-        let _ = std::fs::remove_dir_all(&dir);
+        for kind in KINDS {
+            let db = open(kind, "dedup", 1);
+            let st = sample_stored();
+            db.store(&trace_key("a", "x", "flat"), &st);
+            db.store(&trace_key("b", "y", "flat"), &st);
+            let tlrs = names(&db, "tlr").len();
+            assert_eq!(tlrs, 1, "{kind:?}: identical launches share one record");
+            assert_eq!(db.usage().traces, 2);
+            discard(db);
+        }
     }
 
     #[test]
     fn stale_fingerprint_is_rejected_and_counted() {
-        let dir = scratch_dir("stale");
-        let old = TraceDb::new(dir.clone(), 0xAAAA);
-        let tkey = trace_key("s", "i", "flat");
-        old.store(&tkey, &sample_stored());
-        let new = TraceDb::new(dir.clone(), 0xBBBB);
-        assert!(new.load(&tkey).is_none());
-        assert_eq!((new.stale(), new.corrupt()), (1, 0));
-        // Re-storing under the new fingerprint repairs it.
-        new.store(&tkey, &sample_stored());
-        assert!(new.load(&tkey).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
+        for kind in KINDS {
+            let old = open(kind, "stale-old", 0xAAAA);
+            let tkey = trace_key("s", "i", "flat");
+            old.store(&tkey, &sample_stored());
+            // The same files under a DB of another model fingerprint.
+            let new = open(kind, "stale-new", 0xBBBB);
+            for name in names(&old, "tman").into_iter().chain(names(&old, "tlr")) {
+                assert!(new.write(&name, &old.read(&name).unwrap()));
+            }
+            assert!(new.load(&tkey).is_none());
+            assert_eq!((new.stale(), new.corrupt()), (1, 0), "{kind:?}");
+            // Re-storing under the new fingerprint repairs it.
+            new.store(&tkey, &sample_stored());
+            assert!(new.load(&tkey).is_some());
+            discard(old);
+            discard(new);
+        }
     }
 
     #[test]
     fn truncated_manifest_is_corrupt_not_fatal() {
-        let dir = scratch_dir("trunc");
-        let db = TraceDb::new(dir.clone(), 7);
-        let tkey = trace_key("s", "i", "flat");
-        db.store(&tkey, &sample_stored());
-        let path = db.manifest_path(&tkey);
-        let body = std::fs::read_to_string(&path).unwrap();
-        // Every line-boundary truncation is rejected.
-        let lines: Vec<&str> = body.lines().collect();
-        for cut in 0..lines.len() {
-            std::fs::write(&path, lines[..cut].join("\n")).unwrap();
-            assert!(db.load(&tkey).is_none(), "cut at {cut} accepted");
+        for kind in KINDS {
+            let db = open(kind, "trunc", 7);
+            let tkey = trace_key("s", "i", "flat");
+            db.store(&tkey, &sample_stored());
+            let body = manifest_text(&db, &tkey);
+            // Every line-boundary truncation is rejected.
+            let lines: Vec<&str> = body.lines().collect();
+            for cut in 0..lines.len() {
+                db.write(&manifest_name(&tkey), lines[..cut].join("\n").as_bytes());
+                assert!(db.load(&tkey).is_none(), "{kind:?}: cut at {cut} accepted");
+            }
+            assert_eq!(db.corrupt(), lines.len() as u64);
+            discard(db);
         }
-        assert_eq!(db.corrupt(), lines.len() as u64);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_launch_record_is_rejected() {
-        let dir = scratch_dir("tlr");
-        let db = TraceDb::new(dir.clone(), 7);
-        let tkey = trace_key("s", "i", "flat");
-        db.store(&tkey, &sample_stored());
-        let tlr = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().map(|x| x == "tlr") == Some(true))
-            .unwrap();
-        // Flip one payload byte: the content hash no longer matches.
-        let mut payload = std::fs::read(&tlr).unwrap();
-        let mid = payload.len() / 2;
-        payload[mid] ^= 0xff;
-        std::fs::write(&tlr, &payload).unwrap();
-        assert!(db.load(&tkey).is_none());
-        assert_eq!(db.corrupt(), 1);
-        // Remove it entirely: still a clean rejection.
-        std::fs::remove_file(&tlr).unwrap();
-        assert!(db.load(&tkey).is_none());
-        assert_eq!(db.corrupt(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
+        for kind in KINDS {
+            let db = open(kind, "tlr", 7);
+            let tkey = trace_key("s", "i", "flat");
+            db.store(&tkey, &sample_stored());
+            let tlr = names(&db, "tlr").remove(0);
+            // Flip one payload byte: the content hash no longer matches.
+            let mut payload = db.read(&tlr).unwrap();
+            let mid = payload.len() / 2;
+            payload[mid] ^= 0xff;
+            db.write(&tlr, &payload);
+            assert!(db.load(&tkey).is_none());
+            assert_eq!(db.corrupt(), 1, "{kind:?}");
+            // Remove it entirely: still a clean rejection.
+            remove(&db, &tlr);
+            assert!(db.load(&tkey).is_none());
+            assert_eq!(db.corrupt(), 2, "{kind:?}");
+            discard(db);
+        }
     }
 
     #[test]
     fn re_recording_heals_a_corrupt_launch_record() {
-        let dir = scratch_dir("tlr-heal");
-        let db = TraceDb::new(dir.clone(), 7);
-        let tkey = trace_key("s", "i", "flat");
-        let st = sample_stored();
-        db.store(&tkey, &st);
-        let tlr = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().map(|x| x == "tlr") == Some(true))
-            .unwrap();
-        let mut payload = std::fs::read(&tlr).unwrap();
-        let mid = payload.len() / 2;
-        payload[mid] ^= 0xff;
-        std::fs::write(&tlr, &payload).unwrap();
-        // The same trace recorded again rewrites the damaged record.
-        db.store(&tkey, &st);
-        assert_eq!(db.load(&tkey), Some(st));
-        assert_eq!(db.corrupt(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        for kind in KINDS {
+            let db = open(kind, "tlr-heal", 7);
+            let tkey = trace_key("s", "i", "flat");
+            let st = sample_stored();
+            db.store(&tkey, &st);
+            let tlr = names(&db, "tlr").remove(0);
+            let mut payload = db.read(&tlr).unwrap();
+            let mid = payload.len() / 2;
+            payload[mid] ^= 0xff;
+            db.write(&tlr, &payload);
+            // The same trace recorded again rewrites the damaged record.
+            db.store(&tkey, &st);
+            assert_eq!(db.load(&tkey), Some(st.clone()), "{kind:?}");
+            assert_eq!(db.corrupt(), 0);
+            discard(db);
+        }
     }
 
     #[test]
     fn out_of_range_op_index_is_corrupt() {
-        let dir = scratch_dir("opidx");
-        let db = TraceDb::new(dir.clone(), 7);
-        let tkey = trace_key("s", "i", "flat");
-        let mut st = sample_stored();
-        st.run.ops.push(TraceOp::Launch {
-            launch: 5, // only one launch record exists
-            work_multiplier: 1.0,
-        });
-        db.store(&tkey, &st);
-        assert!(db.load(&tkey).is_none());
-        assert_eq!(db.corrupt(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
+        for kind in KINDS {
+            let db = open(kind, "opidx", 7);
+            let tkey = trace_key("s", "i", "flat");
+            let mut st = sample_stored();
+            st.run.ops.push(TraceOp::Launch {
+                launch: 5, // only one launch record exists
+                work_multiplier: 1.0,
+            });
+            db.store(&tkey, &st);
+            assert!(db.load(&tkey).is_none());
+            assert_eq!(db.corrupt(), 1, "{kind:?}");
+            discard(db);
+        }
     }
 
     #[test]
@@ -530,33 +678,129 @@ mod tests {
 
     #[test]
     fn flat_and_cached_traces_are_separate_entries() {
-        let dir = scratch_dir("memsplit");
-        let db = TraceDb::new(dir.clone(), 7);
-        let flat = trace_key("s", "i", "flat");
-        let cached = trace_key("s", "i", "cache-0123456789abcdef");
-        db.store(&flat, &sample_stored());
-        // A trace recorded under FlatDram is a plain miss under the cache
-        // model — never replayed, not even counted as stale.
-        assert!(db.load(&cached).is_none());
-        assert_eq!((db.stale(), db.corrupt()), (0, 0));
-        assert!(db.load(&flat).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
+        for kind in KINDS {
+            let db = open(kind, "memsplit", 7);
+            let flat = trace_key("s", "i", "flat");
+            let cached = trace_key("s", "i", "cache-0123456789abcdef");
+            db.store(&flat, &sample_stored());
+            // A trace recorded under FlatDram is a plain miss under the
+            // cache model — never replayed, not even counted as stale.
+            assert!(db.load(&cached).is_none());
+            assert_eq!((db.stale(), db.corrupt()), (0, 0), "{kind:?}");
+            assert!(db.load(&flat).is_some());
+            discard(db);
+        }
     }
 
     #[test]
     fn manifest_memmodel_mismatch_is_stale() {
-        let dir = scratch_dir("memstale");
-        let db = TraceDb::new(dir.clone(), 7);
-        let tkey = trace_key("s", "i", "flat");
-        db.store(&tkey, &sample_stored());
-        let path = db.manifest_path(&tkey);
-        let body = std::fs::read_to_string(&path).unwrap();
-        // Forge the recorded model line while keeping the key intact —
-        // simulates an inconsistent hand migration.
-        let forged = body.replace("memmodel flat", "memmodel cache-ffffffffffffffff");
-        std::fs::write(&path, forged).unwrap();
-        assert!(db.load(&tkey).is_none());
-        assert_eq!((db.stale(), db.corrupt()), (1, 0));
-        let _ = std::fs::remove_dir_all(&dir);
+        for kind in KINDS {
+            let db = open(kind, "memstale", 7);
+            let tkey = trace_key("s", "i", "flat");
+            db.store(&tkey, &sample_stored());
+            // Forge the recorded model line while keeping the key intact —
+            // simulates an inconsistent hand migration.
+            let forged = manifest_text(&db, &tkey)
+                .replace("memmodel flat", "memmodel cache-ffffffffffffffff");
+            db.write(&manifest_name(&tkey), forged.as_bytes());
+            assert!(db.load(&tkey).is_none());
+            assert_eq!((db.stale(), db.corrupt()), (1, 0), "{kind:?}");
+            discard(db);
+        }
+    }
+
+    /// Every op of a loaded trace names one of its launches, and every
+    /// launch carries one cost per block: what replay relies on.
+    fn well_formed(st: &StoredTrace) -> bool {
+        let ops_ok = st.run.ops.iter().all(|op| match op {
+            TraceOp::Launch { launch, .. } => *launch < st.run.launches.len(),
+            TraceOp::HostGap { .. } => true,
+        });
+        ops_ok
+            && st
+                .run
+                .launches
+                .iter()
+                .all(|lt| lt.costs.len() == lt.grid as usize)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, a truncation and a one-byte change of a valid
+        /// manifest, planted as the manifest: `load` never panics, and a
+        /// `None` is counted stale or corrupt unless the bytes name
+        /// another key (a plain miss).
+        #[test]
+        fn load_survives_arbitrary_manifest_bytes(
+            junk in collection::vec(0u8..=255, 0..256),
+            cut in 0usize..4096,
+            at in 0usize..4096,
+            flip in 1u8..=255,
+        ) {
+            let db = TraceDb::in_memory(7);
+            let tkey = trace_key("s", "i", "flat");
+            db.store(&tkey, &sample_stored());
+            let name = manifest_name(&tkey);
+            let valid = db.read(&name).unwrap();
+            let mut changed = valid.clone();
+            changed[at % valid.len()] ^= flip;
+            let truncated = valid[..cut % (valid.len() + 1)].to_vec();
+            for body in [junk, truncated, changed] {
+                db.write(&name, &body);
+                let before = db.stale() + db.corrupt();
+                match db.load(&tkey) {
+                    Some(st) => prop_assert!(well_formed(&st)),
+                    None => {
+                        let counted = db.stale() + db.corrupt() == before + 1;
+                        let other_key = std::str::from_utf8(&body)
+                            .ok()
+                            .and_then(parse_manifest)
+                            .is_some_and(|m| m.1 != tkey);
+                        prop_assert!(counted || other_key, "uncounted rejection");
+                    }
+                }
+            }
+        }
+
+        /// Arbitrary bytes and a one-byte change of a valid launch record,
+        /// planted under their own content hash (so they reach the codec)
+        /// and under the valid record's hash: `load` never panics, and
+        /// returns what the codec decodes or `None` with `corrupt` counted.
+        #[test]
+        fn load_survives_arbitrary_launch_records(
+            junk in collection::vec(0u8..=255, 0..512),
+            at in 0usize..4096,
+            flip in 1u8..=255,
+        ) {
+            let db = TraceDb::in_memory(7);
+            let tkey = trace_key("s", "i", "flat");
+            let st = sample_stored();
+            let valid = encode_launch(&st.run.launches[0]);
+            let mut changed = valid.clone();
+            changed[at % valid.len()] ^= flip;
+            let plants = [
+                (fnv1a64(&junk), junk.clone()),
+                (fnv1a64(&changed), changed),
+                (fnv1a64(&valid), junk),
+            ];
+            for (hash, payload) in plants {
+                db.write(&launch_name(hash), &payload);
+                let body = format_manifest(db.fingerprint, &tkey, &st, &[hash]);
+                db.write(&manifest_name(&tkey), body.as_bytes());
+                let before = db.corrupt();
+                match db.load(&tkey) {
+                    Some(back) => {
+                        prop_assert_eq!(fnv1a64(&payload), hash);
+                        // Debug text, because a changed f64 column may
+                        // decode to NaN, which is never `==` itself.
+                        let decoded = decode_launch(&payload).map(|lt| format!("{lt:?}"));
+                        prop_assert_eq!(Some(format!("{:?}", back.run.launches[0])), decoded);
+                        prop_assert!(well_formed(&back));
+                    }
+                    None => prop_assert_eq!(db.corrupt(), before + 1),
+                }
+            }
+        }
     }
 }

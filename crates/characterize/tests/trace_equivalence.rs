@@ -111,57 +111,65 @@ fn assert_result_bitwise_eq(
     }
 }
 
-/// The acceptance-criteria sweep: for **every** program whose launches all
+/// The core fidelity claim, registry-wide: for every program whose launches
 /// take the pre-execution path (the recording-eligible set), a trace
-/// recorded under the default configuration replays bit-identically under
-/// both the default and the 614 MHz configuration — the latter checked
-/// against a *live functional run* of that configuration, proving one
-/// trace serves foreign configurations, not just the one that recorded it.
+/// recorded under the default clocks replays bit-identically under both the
+/// default and the 614 MHz clocks — the latter checked against a *live
+/// functional run* of that configuration, proving one trace serves foreign
+/// configurations, not just the one that recorded it. Both memory models
+/// are swept: a cached-model trace carries cache-tier counters, and must
+/// replay at a foreign clock just as exactly.
 #[test]
 fn recorded_traces_replay_bit_identically_across_configs() {
     let _guard = serial();
-    let mut eligible = Vec::new();
-    let mut ineligible = Vec::new();
-    for b in registry::all().iter().chain(registry::variants().iter()) {
-        let key = b.spec().key;
-        let input = &b.inputs()[0];
-        let default_cfg = GpuConfigKind::Default.device_config();
-        let (recorded, stored) =
-            measure_with_device_config_recording(b.as_ref(), input, default_cfg.clone(), 0);
-        let Some(st) = stored else {
-            ineligible.push(key);
-            continue;
-        };
-        eligible.push(key);
+    let models = [
+        (GpuConfigKind::Default, GpuConfigKind::C614),
+        (GpuConfigKind::Cache, GpuConfigKind::Cache614),
+    ];
+    for (recording, foreign) in models {
+        let mut eligible = Vec::new();
+        let mut ineligible = Vec::new();
+        for b in registry::all().iter().chain(registry::variants().iter()) {
+            let key = b.spec().key;
+            let input = &b.inputs()[0];
+            let home = recording.device_config();
+            let (recorded, stored) =
+                measure_with_device_config_recording(b.as_ref(), input, home.clone(), 0);
+            let Some(st) = stored else {
+                ineligible.push(key);
+                continue;
+            };
+            eligible.push(key);
 
-        // Replaying under the recording configuration reproduces the
-        // recorded measurement exactly — without functional execution.
-        let devices_before = kepler_sim::devices_created();
-        let replays_before = kepler_sim::devices_replayed();
-        let same_cfg = measure_from_trace(key, input, default_cfg, 0, &st);
-        assert_result_bitwise_eq(&recorded, &same_cfg, &format!("{key} @default"));
-        assert_eq!(
-            kepler_sim::devices_created(),
-            devices_before,
-            "{key}: replay must not create a functional device"
+            // Replaying under the recording configuration reproduces the
+            // recorded measurement exactly — without functional execution.
+            let devices_before = kepler_sim::devices_created();
+            let replays_before = kepler_sim::devices_replayed();
+            let same_cfg = measure_from_trace(key, input, home, 0, &st);
+            assert_result_bitwise_eq(&recorded, &same_cfg, &format!("{key} @{recording}"));
+            assert_eq!(
+                kepler_sim::devices_created(),
+                devices_before,
+                "{key}: replay must not create a functional device"
+            );
+            assert_eq!(kepler_sim::devices_replayed(), replays_before + 1);
+
+            // Replaying under a *different* clock configuration matches a
+            // live functional run of that configuration, bit for bit.
+            let away = foreign.device_config();
+            let live = measure_with_device_config(b.as_ref(), input, away.clone(), 0);
+            let replayed = measure_from_trace(key, input, away, 0, &st);
+            assert_result_bitwise_eq(&live, &replayed, &format!("{key} @{foreign}"));
+        }
+        // The regular majority of the registry must opt in; losing
+        // eligibility wholesale would silently turn every campaign back
+        // into functional re-runs.
+        assert!(
+            eligible.len() >= 15,
+            "{recording}: only {} programs recorded traces (eligible: {eligible:?}, ineligible: {ineligible:?})",
+            eligible.len()
         );
-        assert_eq!(kepler_sim::devices_replayed(), replays_before + 1);
-
-        // Replaying under a *different* clock configuration matches a live
-        // functional run of that configuration, bit for bit.
-        let c614 = GpuConfigKind::C614.device_config();
-        let live = measure_with_device_config(b.as_ref(), input, c614.clone(), 0);
-        let replayed = measure_from_trace(key, input, c614, 0, &st);
-        assert_result_bitwise_eq(&live, &replayed, &format!("{key} @614"));
     }
-    // The regular majority of the registry must opt in; losing eligibility
-    // wholesale would silently turn every campaign back into functional
-    // re-runs.
-    assert!(
-        eligible.len() >= 15,
-        "only {} programs recorded traces (eligible: {eligible:?}, ineligible: {ineligible:?})",
-        eligible.len()
-    );
 }
 
 /// The campaign-level flow: a cold campaign records, a second campaign

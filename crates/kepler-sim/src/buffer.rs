@@ -130,9 +130,9 @@ impl Bits for i32 {
 
 /// A launch's global-memory write effects as a patch against the
 /// pre-launch image: runs of changed elements, in order, plus the runs'
-/// new element bits. The launch pre-execution cache keeps these (see
-/// [`crate::memo`]); applying one to the image it was diffed against
-/// reproduces the post-launch image bit for bit.
+/// new element bits. Sharded pre-execution diffs each shard into one;
+/// applying one to the image it was diffed against reproduces the
+/// post-launch image bit for bit.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct Patch {
     /// `(slot, start, len)` per run.
@@ -142,11 +142,6 @@ pub(crate) struct Patch {
 }
 
 impl Patch {
-    /// Payload size, for the cache's byte budget.
-    pub(crate) fn bytes(&self) -> usize {
-        self.runs.len() * std::mem::size_of::<(usize, usize, usize)>() + self.bits.len() * 4
-    }
-
     /// Append `later`'s runs. Applying the result applies `self`, then
     /// `later`, so where both write an element `later` wins.
     pub(crate) fn append(&mut self, mut later: Patch) {
@@ -249,7 +244,7 @@ impl GlobalMem {
         self.next_base - BASE_ALIGN
     }
 
-    // ---- pre-execution support (see crate::memo) ----
+    // ---- pre-execution support (see Device::pre_execute) ----
 
     /// Deep copy for speculative execution, or `None` if any buffer holds a
     /// type outside the dedicated variants.
@@ -273,8 +268,8 @@ impl GlobalMem {
     /// 128-bit content fingerprint of the whole memory image (slot types,
     /// lengths and element bits, in slot order), or `None` if any buffer is
     /// a `Slot::Other`. Two memories with equal fingerprints are treated as
-    /// identical by the launch pre-execution cache, so both lanes must
-    /// collide before a stale replay is possible.
+    /// identical by the trace recorder's launch identity, so both lanes
+    /// must collide before two distinct launches could share a record.
     pub(crate) fn fingerprint(&self) -> Option<[u64; 2]> {
         // Lane 1: splitmix64 absorption. Lane 2: a degree-n polynomial in
         // an odd multiplier (Horner form). Independent enough that joint
@@ -496,10 +491,6 @@ mod tests {
         after.store(&c, 1, 6); // every element of the slot
         let patch = m.diff(&after);
         assert_eq!(patch.runs, [(0, 0, 1), (1, 1, 2), (1, 5, 1), (3, 0, 2)]);
-        assert_eq!(
-            patch.bytes(),
-            4 * std::mem::size_of::<(usize, usize, usize)>() + 6 * 4
-        );
         m.apply(&patch);
         assert_eq!(image_bits(&m), image_bits(&after));
         assert_eq!(m.fingerprint(), after.fingerprint());

@@ -10,9 +10,9 @@ use crate::counters::{KernelCounters, LaunchStats};
 use crate::footprint::{LaunchInspector, LaunchSummary};
 use crate::kernel::{Kernel, KernelResources};
 use crate::mem::CacheConfig;
-use crate::memo::{self, LaunchEffects, LaunchKey};
 use crate::occupancy::resident_blocks;
 use crate::scheduler::{dispatch_order, run_launch_pooled, SchedScratch};
+use crate::trace::LaunchKey;
 use gpower::PowerTrace;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -71,38 +71,22 @@ pub fn exec_jobs() -> usize {
     }
 }
 
-/// (hits, misses) of the process-wide launch pre-execution cache.
+/// Launches pre-executed since process start or the last
+/// [`reset_exec_cache`].
+static PRE_EXECUTED: AtomicU64 = AtomicU64::new(0);
+
+/// `(0, n)`, where `n` launches were pre-executed since process start or
+/// the last [`reset_exec_cache`]. Nothing is a hit: recorded traces, not a
+/// launch cache, reuse functional work across configurations. Kept, with
+/// its signature, only because the repository benchmark links it.
 pub fn exec_cache_stats() -> (u64, u64) {
-    memo::stats()
+    (0, PRE_EXECUTED.load(Ordering::Relaxed))
 }
 
-/// Bytes the process-wide launch pre-execution cache retains.
-pub fn exec_cache_retained_bytes() -> u64 {
-    memo::retained_bytes() as u64
-}
-
-/// Bytes the process-wide launch pre-execution cache has charged since the
-/// process started, entries released by [`with_launch_memo_scope`]
-/// included. At one campaign thread it is deterministic.
-pub fn exec_cache_charged_bytes() -> u64 {
-    memo::charged_bytes()
-}
-
-/// Run `f`; when it returns (or panics), the launches this thread added to
-/// the process-wide pre-execution cache during `f` leave it and their
-/// bytes are uncharged. Entries added before `f` or by other threads stay,
-/// and an entry a caller still holds stays usable. The campaign wraps each
-/// (program, input) group in one scope, so the group's configurations
-/// share its launches and the memory goes when the group is done.
-pub fn with_launch_memo_scope<R>(f: impl FnOnce() -> R) -> R {
-    memo::scope(f)
-}
-
-/// Drop every cached launch and zero [`exec_cache_stats`] and
-/// [`exec_cache_charged_bytes`]. Tests use this to observe a cold
-/// execution; production code never needs it.
+/// Zero the count [`exec_cache_stats`] reports. Kept only because the
+/// repository benchmark links it.
 pub fn reset_exec_cache() {
-    memo::reset()
+    PRE_EXECUTED.store(0, Ordering::Relaxed);
 }
 
 /// How a device functionally executes the blocks of a launch whose kernel
@@ -113,11 +97,11 @@ pub enum ExecStrategy {
     /// Run the blocks serially in dispatch order against the live memory
     /// image, even if the kernel permits reordering.
     AtDispatch,
-    /// Pre-execute the whole grid — sharded over `jobs` worker threads and
-    /// shared across identical launches through the process-wide cache —
-    /// and schedule the recorded per-block costs. Bit-identical to
-    /// [`ExecStrategy::AtDispatch`] under the `parallel_safe` contract, for
-    /// any `jobs >= 1`.
+    /// Pre-execute the whole grid ahead of scheduling — in dispatch order
+    /// with one worker, sharded over `jobs` worker threads otherwise — and
+    /// schedule its per-block costs; a pre-executed launch is recordable
+    /// ([`crate::trace`]). Bit-identical to [`ExecStrategy::AtDispatch`]
+    /// under the `parallel_safe` contract, for any `jobs >= 1`.
     PreExec {
         /// Worker threads for the functional execution.
         jobs: usize,
@@ -154,9 +138,8 @@ fn exec_one_block(
 
 /// Where the launch core takes a launch's per-block costs from.
 pub(crate) enum CostSource<'a> {
-    /// Functional execution of a live kernel: a launch-memo hit, sharded
-    /// pre-execution, or the blocks run in dispatch order against the live
-    /// memory image.
+    /// Functional execution of a live kernel: sharded pre-execution, or the
+    /// blocks run in dispatch order against the live memory image.
     Kernel(&'a dyn Kernel),
     /// A recorded cost stream, indexed by block (trace replay).
     Recorded(&'a [BlockCost]),
@@ -573,18 +556,18 @@ impl Device {
         let occupancy = resident_blocks(&self.cfg, block_threads, &resources);
         let mut order = std::mem::take(&mut self.order);
         dispatch_order(&self.cfg, &mut self.rng, grid, occupancy, &mut order);
-        // Kernels declaring dispatch-order independence are pre-executed
-        // (usually replayed straight from the process-wide memo); irregular
-        // kernels — and every launch under the sanitizer, which must watch
-        // the real access stream — run their blocks in dispatch order.
-        let (memoized, ran);
+        // Kernels declaring dispatch-order independence are pre-executed,
+        // which makes the launch recordable; irregular kernels — and every
+        // launch under the sanitizer, which must watch the real access
+        // stream — run their blocks in dispatch order.
+        let ran;
         let costs: &[BlockCost] = match source {
             CostSource::Recorded(costs) => costs,
             CostSource::Kernel(kernel) => {
                 let strategy = self
                     .exec
                     .unwrap_or_else(|| ExecStrategy::PreExec { jobs: exec_jobs() });
-                let effects = match strategy {
+                let pre = match strategy {
                     ExecStrategy::PreExec { jobs }
                         if kernel.parallel_safe() && self.access.is_none() =>
                     {
@@ -593,23 +576,18 @@ impl Device {
                     _ => None,
                 };
                 if let Some(rec) = &self.recorder {
-                    match &effects {
-                        Some((key, fx)) => {
-                            rec.record_launch(key, resources, &fx.costs, work_multiplier)
+                    match &pre {
+                        Some((key, costs)) => {
+                            rec.record_launch(key, resources, costs, work_multiplier)
                         }
                         None => rec.mark_ineligible(&name),
                     }
                 }
-                match effects {
-                    Some((_, fx)) => {
-                        memoized = fx;
-                        &memoized.costs
-                    }
-                    None => {
-                        ran = self.run_blocks(kernel, block_threads, &order, launch_id);
-                        &ran
-                    }
-                }
+                ran = match pre {
+                    Some((_, costs)) => costs,
+                    None => self.run_blocks(kernel, block_threads, &order, launch_id),
+                };
+                &ran
             }
         };
         let outcome = run_launch_pooled(
@@ -678,16 +656,15 @@ impl Device {
         costs
     }
 
-    /// Functionally execute a `parallel_safe` launch ahead of scheduling —
-    /// or fetch it from the process-wide cache — apply its global-memory
-    /// effects, and return the per-block costs, indexed by block.
+    /// Functionally execute a `parallel_safe` launch ahead of scheduling,
+    /// apply its global-memory effects, and return the launch's identity
+    /// (for an attached trace recorder) with its per-block costs, indexed
+    /// by block.
     ///
     /// `None` means the launch cannot be pre-executed (some buffer's type
     /// has no dedicated slot variant, so the memory image can be neither
     /// fingerprinted nor cloned); the caller falls back to running the
-    /// blocks in dispatch order, which is always correct. On success the
-    /// launch's identity key is returned alongside the effects so an
-    /// attached trace recorder can content-address the launch.
+    /// blocks in dispatch order, which is always correct.
     fn pre_execute(
         &mut self,
         kernel: &dyn Kernel,
@@ -696,81 +673,71 @@ impl Device {
         order: &[u32],
         launch_id: u32,
         jobs: usize,
-    ) -> Option<(LaunchKey, Arc<LaunchEffects>)> {
+    ) -> Option<(LaunchKey, Vec<BlockCost>)> {
         let grid = order.len() as u32;
-        let mem_fp = self.mem.fingerprint()?;
         let key = LaunchKey {
             kernel: name.to_string(),
             params: kernel.params(),
             grid,
             block_threads,
-            mem_fp,
-            model_fp: self.cfg.mem_model.fingerprint(),
+            mem_fp: self.mem.fingerprint()?,
         };
-        if let Some(fx) = memo::lookup(&key) {
-            self.mem.apply(&fx.writes);
-            return Some((key, fx));
-        }
-        let cache_cfg = self.cfg.mem_model.cache().copied();
+        PRE_EXECUTED.fetch_add(1, Ordering::Relaxed);
         let jobs = jobs.clamp(1, grid as usize);
-        let fx = if jobs == 1 {
-            // Run the grid against the live image; where it differs from a
-            // snapshot of the pre-launch image are the launch's writes.
-            let pre = self.mem.try_clone()?;
+        if jobs == 1 {
+            // One worker runs the grid in dispatch order against the live
+            // image: the at-dispatch run itself, known to be recordable.
             let costs = self.run_blocks(kernel, block_threads, order, launch_id);
-            let writes = pre.diff(&self.mem);
-            Arc::new(LaunchEffects { costs, writes })
-        } else {
-            // Contiguous block shards, each executed against its own clone
-            // of the pre-launch image and diffed against it. Under the
-            // `parallel_safe` contract the shards' write sets are disjoint,
-            // so the shard patches concatenated in shard order rebuild the
-            // serial post-state bit-for-bit.
-            let base = &self.mem;
-            let shard = grid.div_ceil(jobs as u32);
-            let results: Vec<(Vec<BlockCost>, Patch)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..jobs as u32)
-                    .map(|j| {
-                        // Workers past the grid's last shard get no blocks.
-                        let lo = (j * shard).min(grid);
-                        let hi = ((j + 1) * shard).min(grid);
-                        s.spawn(move || {
-                            let mut m = base.try_clone().expect("fingerprinted image clones");
-                            let mut scratch = ExecScratch::default();
-                            let costs = (lo..hi)
-                                .map(|b| {
-                                    exec_one_block(
-                                        kernel,
-                                        &mut m,
-                                        b,
-                                        grid,
-                                        block_threads,
-                                        &mut scratch,
-                                        cache_cfg.as_ref(),
-                                        None,
-                                    )
-                                })
-                                .collect();
-                            (costs, base.diff(&m))
-                        })
+            return Some((key, costs));
+        }
+        // Contiguous block shards, each executed against its own clone of
+        // the pre-launch image and diffed against it. Under the
+        // `parallel_safe` contract the shards' write sets are disjoint, so
+        // the shard patches concatenated in shard order rebuild the serial
+        // post-state bit-for-bit.
+        let cache_cfg = self.cfg.mem_model.cache().copied();
+        let base = &self.mem;
+        let shard = grid.div_ceil(jobs as u32);
+        let results: Vec<(Vec<BlockCost>, Patch)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..jobs as u32)
+                .map(|j| {
+                    // Workers past the grid's last shard get no blocks.
+                    let lo = (j * shard).min(grid);
+                    let hi = ((j + 1) * shard).min(grid);
+                    s.spawn(move || {
+                        let mut m = base.try_clone().expect("fingerprinted image clones");
+                        let mut scratch = ExecScratch::default();
+                        let costs = (lo..hi)
+                            .map(|b| {
+                                exec_one_block(
+                                    kernel,
+                                    &mut m,
+                                    b,
+                                    grid,
+                                    block_threads,
+                                    &mut scratch,
+                                    cache_cfg.as_ref(),
+                                    None,
+                                )
+                            })
+                            .collect();
+                        (costs, base.diff(&m))
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pre-exec worker panicked"))
-                    .collect()
-            });
-            let mut costs = Vec::with_capacity(grid as usize);
-            let mut writes = Patch::default();
-            for (c, w) in results {
-                costs.extend(c);
-                writes.append(w);
-            }
-            self.mem.apply(&writes);
-            Arc::new(LaunchEffects { costs, writes })
-        };
-        memo::insert(key.clone(), fx.clone());
-        Some((key, fx))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("pre-exec worker panicked"))
+                .collect()
+        });
+        let mut costs = Vec::with_capacity(grid as usize);
+        let mut writes = Patch::default();
+        for (c, w) in results {
+            costs.extend(c);
+            writes.append(w);
+        }
+        self.mem.apply(&writes);
+        Some((key, costs))
     }
 
     /// Record host-side time between kernels (the driver keeps the GPU
@@ -1298,22 +1265,13 @@ mod tests {
 
     #[test]
     fn pre_exec_strategies_are_bit_identical() {
-        let _g = memo::test_guard();
         let n = 4096;
-        memo::reset();
         let serial = psaxpy_run(Some(ExecStrategy::AtDispatch), n);
-        assert_eq!(memo::stats(), (0, 0), "AtDispatch never consults the cache");
-        memo::reset();
         let pre1 = psaxpy_run(Some(ExecStrategy::PreExec { jobs: 1 }), n);
-        memo::reset();
         let pre3 = psaxpy_run(Some(ExecStrategy::PreExec { jobs: 3 }), n);
         // 12 workers over 32 blocks: shards of 3 leave the last one none.
-        memo::reset();
         let pre12 = psaxpy_run(Some(ExecStrategy::PreExec { jobs: 12 }), n);
-        // A further run replays from the cache (no reset): pure hit path.
-        let hit = psaxpy_run(Some(ExecStrategy::PreExec { jobs: 3 }), n);
-        assert_eq!(memo::stats().0, 1, "last run hit the cache");
-        for (i, other) in [&pre1, &pre3, &pre12, &hit].into_iter().enumerate() {
+        for (i, other) in [&pre1, &pre3, &pre12].into_iter().enumerate() {
             assert!(
                 serial
                     .0
@@ -1337,38 +1295,19 @@ mod tests {
     }
 
     #[test]
-    fn pre_exec_cache_shared_across_devices() {
-        let _g = memo::test_guard();
-        memo::reset();
-        let a = psaxpy_run(None, 2048); // process default: PreExec
-        let (h0, m0) = memo::stats();
-        assert_eq!((h0, m0), (0, 1), "first device misses");
-        let b = psaxpy_run(None, 2048);
-        assert_eq!(memo::stats(), (1, 1), "identical second device hits");
-        assert!(a
-            .0
-            .iter()
-            .zip(&b.0)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
-        // Different scalar parameter -> different key, no stale replay.
-        let mut dev = device();
-        let x = dev.alloc_from(&vec![1.0f32; 2048]);
-        let y = dev.alloc_from(&vec![1.0f32; 2048]);
-        dev.launch(&PSaxpy(Saxpy { x, y, a: -2.0 }), 16, 128);
-        assert_eq!(memo::stats(), (1, 2));
-        assert!(dev.read(&y).iter().all(|&v| v == -1.0));
-    }
-
-    #[test]
     fn pre_exec_falls_back_on_untyped_buffers() {
-        let _g = memo::test_guard();
-        memo::reset();
         let mut dev = device();
+        let rec = Arc::new(crate::trace::TraceRecorder::new());
+        dev.set_trace_recorder(rec.clone());
         let _odd = dev.alloc_init::<u64>(8, 7); // Slot::Other: unfingerprintable
         let x = dev.alloc_from(&vec![2.0f32; 1024]);
         let y = dev.alloc_from(&vec![1.0f32; 1024]);
         dev.launch(&PSaxpy(Saxpy { x, y, a: 2.0 }), 8, 128);
-        assert_eq!(memo::stats(), (0, 0), "fallback skips the cache entirely");
+        assert_eq!(
+            rec.ineligible_kernel().as_deref(),
+            Some("psaxpy"),
+            "the fallback runs at dispatch, which no trace can replay"
+        );
         assert!(dev.read(&y).iter().all(|&v| v == 5.0));
     }
 }

@@ -35,9 +35,9 @@ impl Default for KernelResources {
 ///
 /// Kernels whose blocks are *independent* of dispatch order can opt out of
 /// that serialization via [`Kernel::parallel_safe`], which lets the device
-/// pre-execute the whole grid (sharded over worker threads) and replay the
-/// recorded block costs and memory effects into the scheduler — including
-/// across launches with identical inputs (see `docs/PERF.md`).
+/// pre-execute the whole grid (sharded over worker threads) ahead of
+/// scheduling, and makes the launch recordable, so a recorded trace can
+/// replay its block costs under any configuration (see `docs/PERF.md`).
 ///
 /// `Sync` is a supertrait so a `&dyn Kernel` can be shared with the
 /// pre-execution workers; kernels are plain parameter structs, so this is
@@ -78,8 +78,8 @@ pub trait Kernel: Sync {
     ///
     /// Under the contract, executing blocks in any order (or concurrently on
     /// separate memory shards) is bit-identical to exec-at-dispatch, so the
-    /// device pre-executes the grid once and replays cached costs into the
-    /// scheduler. Kernels that violate the contract while claiming it will
+    /// device may pre-execute the grid and schedule its costs afterwards,
+    /// and a recorded trace of them replays under any configuration. Kernels that violate the contract while claiming it will
     /// produce wrong results *deterministically* — the serial-vs-parallel
     /// equivalence tests catch this. Default: `false` (exec-at-dispatch,
     /// the right choice for every irregular/racy kernel).
@@ -89,7 +89,7 @@ pub trait Kernel: Sync {
 
     /// Scalar launch parameters that influence `run_block` but are not
     /// stored in device memory (problem dims, scaling constants, iteration
-    /// counters, ...), folded into the pre-execution cache key.
+    /// counters, ...), folded into the launch identity a trace records.
     ///
     /// Kernels returning `true` from [`Kernel::parallel_safe`] MUST list
     /// every such field here (floats via `to_bits()`): two launches with

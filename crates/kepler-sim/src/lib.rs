@@ -47,8 +47,7 @@
 //! Completions only decide which SM each block lands on. Block execution
 //! reads neither the RNG nor simulated time, so running the blocks first
 //! and then scheduling their costs is exactly executing each block when
-//! it dispatches; live launches, memoized launches and trace replay all
-//! take this one path.
+//! it dispatches; live launches and trace replay take this one path.
 
 pub mod access;
 pub mod attribution;
@@ -62,7 +61,6 @@ pub mod device;
 pub mod footprint;
 pub mod kernel;
 pub mod mem;
-mod memo;
 pub mod occupancy;
 pub mod ops;
 pub mod scheduler;
@@ -92,10 +90,7 @@ pub use config::{ClockConfig, DeviceConfig, PowerParams};
 pub use counters::{KernelCounters, LaunchStats};
 pub use device::devices_created;
 pub use device::devices_replayed;
-pub use device::{
-    exec_cache_charged_bytes, exec_cache_retained_bytes, exec_cache_stats, exec_jobs,
-    reset_exec_cache, set_exec_jobs, with_launch_memo_scope,
-};
+pub use device::{exec_cache_stats, exec_jobs, reset_exec_cache, set_exec_jobs};
 pub use device::{Device, ExecStrategy, LaunchOpts};
 pub use footprint::{
     BlockFootprint, BufAccess, BufRef, FpBuilder, FpKind, KernelFootprint, LaunchInspector,

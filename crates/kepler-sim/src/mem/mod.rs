@@ -9,7 +9,7 @@
 //! stream into L1-hit / L2-hit / DRAM tiers and the fluid scheduler prices
 //! each tier separately. A fresh simulator per block keeps [`crate::cost::
 //! BlockCost`] a pure function of the block's own access stream — which is
-//! what makes pre-executed memoization, sharded execution and trace replay
+//! what makes pre-execution, sharded execution and trace replay
 //! remain bitwise-equivalent under the cache model (the per-block L2 view
 //! models intra-block reuse only; cross-block sharing is deliberately out
 //! of scope, see docs/MEMORY.md).
@@ -112,7 +112,7 @@ impl CacheConfig {
     }
 
     /// Fingerprint over every knob that changes simulated numbers. Part of
-    /// the memory-model fingerprint used by campaign/trace/memo keys.
+    /// the memory-model fingerprint used by campaign and trace keys.
     pub fn fingerprint(&self) -> u64 {
         let s = format!(
             "{}|l1={}x{}|l2={}x{}|mshr={}|bw={:.3}/{:.3}|lat={:.3e}|e={:.3e}/{:.3e}",
@@ -152,7 +152,7 @@ impl MemoryModel {
         }
     }
 
-    /// Stable fingerprint of the model, used in memo keys, trace manifests
+    /// Stable fingerprint of the model, used in trace manifests
     /// and campaign cache keys so results from one model never alias
     /// results from another.
     pub fn fingerprint(&self) -> u64 {

@@ -11,10 +11,9 @@
 //! re-simulated for *any* configuration from its trace alone:
 //!
 //! * [`TraceRecorder`] — attached to a live [`Device`] via
-//!   [`Device::set_trace_recorder`]; captures each launch's identity (the
-//!   same key the pre-execution memo uses: kernel name, params, geometry,
-//!   memory fingerprint), resources and per-block costs, plus the host-gap
-//!   timeline, into a [`RunTrace`]. Launches that cannot take the
+//!   [`Device::set_trace_recorder`]; captures each launch's identity
+//!   (kernel name, params, geometry, memory fingerprint), resources and
+//!   per-block costs, plus the host-gap timeline, into a [`RunTrace`]. Launches that cannot take the
 //!   pre-execution path (irregular kernels, unfingerprintable buffers, runs
 //!   under the sanitizer) mark the run ineligible — recording never guesses.
 //! * [`encode_launch`] / [`decode_launch`] — a compact column-major
@@ -31,13 +30,27 @@ use crate::cost::BlockCost;
 use crate::counters::{KernelCounters, LaunchStats};
 use crate::device::{CostSource, Device};
 use crate::kernel::KernelResources;
-use crate::memo::LaunchKey;
 use gpower::PowerTrace;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// One recorded launch: identity (memo key fields), static resources, and
-/// the per-block cost stream the scheduler replays.
+/// Identity of a pre-executed launch: two launches with equal keys execute
+/// identically under the `parallel_safe` contract. The recorder
+/// deduplicates a run's launches by it, and a [`LaunchTrace`] carries its
+/// fields.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) struct LaunchKey {
+    /// Kernel display name plus its scalar parameters ([`crate::Kernel::params`]).
+    pub kernel: String,
+    pub params: Vec<u64>,
+    pub grid: u32,
+    pub block_threads: u32,
+    /// Fingerprint of the full pre-launch memory image.
+    pub mem_fp: [u64; 2],
+}
+
+/// One recorded launch: identity ([`LaunchKey`] fields), static resources,
+/// and the per-block cost stream the scheduler replays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchTrace {
     /// Kernel display name.
@@ -140,7 +153,11 @@ impl TraceRecorder {
     pub(crate) fn mark_ineligible(&self, kernel: &str) {
         let mut inner = self.inner.lock().unwrap();
         if inner.ineligible.is_none() {
-            inner.ineligible = Some(kernel.to_string());
+            // What was recorded so far can never be replayed: free it now.
+            *inner = RecorderInner {
+                ineligible: Some(kernel.to_string()),
+                ..RecorderInner::default()
+            };
         }
     }
 
@@ -436,7 +453,6 @@ mod tests {
     use crate::buffer::DevBuffer;
     use crate::config::ClockConfig;
     use crate::kernel::{Kernel, ParamKey};
-    use crate::memo;
 
     fn sample_cost(i: u64) -> BlockCost {
         BlockCost {
@@ -611,10 +627,7 @@ mod tests {
 
     #[test]
     fn recording_is_passive_and_replay_is_bit_identical() {
-        let _g = memo::test_guard();
-        memo::reset();
         let plain = run_program(cfg(11), None);
-        memo::reset();
         let rec = std::sync::Arc::new(TraceRecorder::new());
         let recorded = run_program(cfg(11), Some(rec.clone()));
         assert_eq!(plain.0.to_bits(), recorded.0.to_bits(), "kernel time");
@@ -638,7 +651,6 @@ mod tests {
 
         // Replay under a *different* config matches a live run of that
         // config (same functional costs, different scheduler/power).
-        memo::reset();
         let other = run_program(cfg(77), None);
         let mut rd = TraceReplayDevice::new(cfg(77));
         rd.replay(&run);
@@ -649,8 +661,6 @@ mod tests {
 
     #[test]
     fn replay_does_not_count_as_a_simulation() {
-        let _g = memo::test_guard();
-        memo::reset();
         let rec = std::sync::Arc::new(TraceRecorder::new());
         run_program(cfg(3), Some(rec.clone()));
         let run = rec.finish().unwrap();
@@ -664,8 +674,6 @@ mod tests {
 
     #[test]
     fn ineligible_launch_poisons_the_recording() {
-        let _g = memo::test_guard();
-        memo::reset();
         let rec = std::sync::Arc::new(TraceRecorder::new());
         let mut dev = Device::new(cfg(5));
         dev.set_trace_recorder(rec.clone());

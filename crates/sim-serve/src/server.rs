@@ -40,11 +40,12 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Campaign cache directory (`None`: in-process memo only).
     pub cache_dir: Option<PathBuf>,
-    /// Launch-trace database directory (`None`: no trace recording or
-    /// replay). When set, cold functional runs record launch traces and
-    /// later units — any clock/ECC configuration, any repetition — are
+    /// Launch-trace database directory (`None`: the traces live in memory
+    /// for the server's lifetime). Functional runs record launch traces
+    /// and later units — any clock/ECC configuration, any repetition — are
     /// re-simulated from them without functional execution, which is what
-    /// lets `POST /v1/sweep` serve fine grids cheaply. See `docs/TRACE.md`.
+    /// lets `POST /v1/sweep` serve fine grids cheaply. A directory keeps
+    /// the traces for later processes. See `docs/TRACE.md`.
     pub trace_dir: Option<PathBuf>,
     /// Repetitions for `/v1/artifacts` when the request does not say —
     /// 3 keeps artifact bodies byte-identical to `repro` and the goldens.
@@ -842,11 +843,12 @@ fn healthz(state: &Arc<ServeState>) -> Response {
 }
 
 /// The `/metrics` document: queue gauges, campaign cache counters, process
-/// simulation witnesses, dispatch fan-out counters (coordinator mode),
-/// stream subscriber count, and per-endpoint HTTP latency histograms.
+/// simulation witnesses and the trace DB's size, dispatch fan-out counters
+/// (coordinator mode), stream subscriber count, and per-endpoint HTTP
+/// latency histograms.
 pub fn metrics_body(state: &Arc<ServeState>) -> Json {
     let stats = state.campaign.stats();
-    let (memo_hits, memo_misses) = kepler_sim::exec_cache_stats();
+    let traces = state.campaign.trace_usage();
     let mut doc = Json::obj([
         (
             "uptime_s",
@@ -887,12 +889,8 @@ pub fn metrics_body(state: &Arc<ServeState>) -> Json {
                     "devices_replayed",
                     Json::num(kepler_sim::devices_replayed() as f64),
                 ),
-                ("launch_memo_hits", Json::num(memo_hits as f64)),
-                ("launch_memo_misses", Json::num(memo_misses as f64)),
-                (
-                    "launch_memo_retained_bytes",
-                    Json::num(kepler_sim::exec_cache_retained_bytes() as f64),
-                ),
+                ("trace_db_traces", Json::num(traces.traces as f64)),
+                ("trace_db_bytes", Json::num(traces.bytes as f64)),
             ]),
         ),
         (
@@ -989,22 +987,18 @@ pub fn prometheus_body(state: &Arc<ServeState>) -> String {
     ] {
         out.push_str(&format!("simserve_devices_total{{kind=\"{kind}\"}} {v}\n"));
     }
-    let (memo_hits, memo_misses) = kepler_sim::exec_cache_stats();
-    out.push_str(concat!(
-        "# HELP simserve_launch_memo_total Launch pre-execution cache lookups in this ",
-        "process, by outcome.\n",
-        "# TYPE simserve_launch_memo_total counter\n",
-    ));
-    for (outcome, v) in [("hit", memo_hits), ("miss", memo_misses)] {
-        out.push_str(&format!(
-            "simserve_launch_memo_total{{outcome=\"{outcome}\"}} {v}\n"
-        ));
-    }
+    let traces = state.campaign.trace_usage();
     push_gauge(
         &mut out,
-        "simserve_launch_memo_retained_bytes",
-        "Bytes the launch pre-execution cache retains.",
-        kepler_sim::exec_cache_retained_bytes() as f64,
+        "simserve_trace_db_traces",
+        "Launch traces the campaign's trace DB holds.",
+        traces.traces as f64,
+    );
+    push_gauge(
+        &mut out,
+        "simserve_trace_db_bytes",
+        "Encoded bytes of the campaign's trace DB.",
+        traces.bytes as f64,
     );
     push_gauge(
         &mut out,
@@ -1109,25 +1103,16 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing series {k}"))
         };
         let doc = metrics_body(state);
-        // The launch memo is process-global and other tests may move it
-        // between the two scrapes, so only its series are checked here.
         let process = doc.get("process").unwrap();
         for (key, name) in [
-            (
-                "launch_memo_hits",
-                r#"simserve_launch_memo_total{outcome="hit"}"#,
-            ),
-            (
-                "launch_memo_misses",
-                r#"simserve_launch_memo_total{outcome="miss"}"#,
-            ),
-            (
-                "launch_memo_retained_bytes",
-                "simserve_launch_memo_retained_bytes",
-            ),
+            ("trace_db_traces", "simserve_trace_db_traces"),
+            ("trace_db_bytes", "simserve_trace_db_bytes"),
         ] {
-            assert!(process.get(key).unwrap().as_f64().is_some(), "{key}");
-            get(name);
+            assert_eq!(
+                get(name),
+                process.get(key).unwrap().as_f64().unwrap(),
+                "{key}"
+            );
         }
         let http = doc.get("http").unwrap();
         assert_eq!(

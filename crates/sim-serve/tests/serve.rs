@@ -211,6 +211,45 @@ fn eight_concurrent_identical_runs_cost_one_simulation() {
     srv.stop();
 }
 
+/// A second configuration of a program the server has already run replays
+/// the first run's recorded trace: no functional device, one replay device,
+/// and the body a fresh server computes by simulating.
+#[test]
+fn a_second_configuration_replays_the_first_ones_trace() {
+    let _guard = serial();
+    let at_614 = r#"{"workload": "sten", "config": "614", "reps": 1}"#;
+    let mut srv = TestServer::boot(quick_config());
+    let first = request(
+        srv.addr,
+        "POST",
+        "/v1/runs",
+        Some(r#"{"workload": "sten", "reps": 1}"#),
+    );
+    assert_eq!(first.status, 200);
+    let created = kepler_sim::devices_created();
+    let replayed = kepler_sim::devices_replayed();
+    let second = request(srv.addr, "POST", "/v1/runs", Some(at_614));
+    assert_eq!(second.status, 200);
+    assert_eq!(kepler_sim::devices_created(), created, "no functional run");
+    assert_eq!(kepler_sim::devices_replayed(), replayed + 1);
+    let metrics = request(srv.addr, "GET", "/metrics", None).json();
+    let campaign = metrics.get("campaign").unwrap();
+    assert_eq!(campaign.get("simulated").unwrap().as_u64(), Some(1));
+    assert_eq!(campaign.get("trace_replays").unwrap().as_u64(), Some(1));
+    let process = metrics.get("process").unwrap();
+    assert_eq!(process.get("trace_db_traces").unwrap().as_u64(), Some(1));
+    assert!(process.get("trace_db_bytes").unwrap().as_u64() > Some(0));
+    srv.stop();
+
+    let mut fresh = TestServer::boot(quick_config());
+    let created = kepler_sim::devices_created();
+    let direct = request(fresh.addr, "POST", "/v1/runs", Some(at_614));
+    assert_eq!(direct.status, 200);
+    assert_eq!(kepler_sim::devices_created(), created + 1, "a fresh run");
+    assert_eq!(second.body, direct.body);
+    fresh.stop();
+}
+
 /// A run the paper excludes as too-fast-to-measure answers `422` with a
 /// stable error code, and the poisoned cache entry round-trips as the
 /// same structured error — without re-simulating.

@@ -1,23 +1,17 @@
 //! Serial-vs-parallel equivalence: every regular workload must produce a
 //! bit-identical outcome whether its kernels execute at dispatch time
-//! (the simulator's reference semantics), are pre-executed serially, are
-//! pre-executed sharded across worker threads, or are replayed from the
-//! process-wide pre-execution cache — and that must hold under more than
-//! one clock configuration AND under both memory models (the per-block
-//! cache simulation keeps every block cost a pure function of its own
-//! access stream; see `docs/MEMORY.md`). The cache is shared across
-//! configurations by design (`docs/PERF.md`), so a replay must also match
-//! when the cache was filled under the other clock configuration, whose
-//! clock-seeded dispatch order differs.
+//! (the simulator's reference semantics), are pre-executed serially, or
+//! are pre-executed sharded across worker threads — and that must hold
+//! under more than one clock configuration AND under both memory models
+//! (the per-block cache simulation keeps every block cost a pure function
+//! of its own access stream; see `docs/MEMORY.md`). Replaying a recorded
+//! trace under a foreign configuration is covered by `characterize`'s
+//! `trace_equivalence` suite.
 //!
 //! Benchmarks whose kernels use atomics never opt into `parallel_safe`,
 //! so for them every strategy degenerates to exec-at-dispatch; including
 //! them keeps the coverage statement simple ("every regular workload")
 //! and guards against a future opt-in that would violate the contract.
-//!
-//! Everything runs inside ONE `#[test]` function: the pre-execution cache
-//! is process-global, and the cold-path assertions need `reset_exec_cache`
-//! calls that must not race a concurrently running test.
 
 use kepler_sim::{CacheConfig, ClockConfig, Device, DeviceConfig, ExecStrategy, MemoryModel};
 use workloads::bench::{Benchmark, InputSpec};
@@ -109,15 +103,14 @@ fn every_regular_workload_is_strategy_invariant() {
     let mut covered = 0usize;
     // Two clock configs under the flat model, plus the cache model at
     // default clocks: the equivalence contract must survive the per-block
-    // cache simulation too. Each pass names the other flat clock config,
-    // which fills the cache for the cross-configuration replay.
+    // cache simulation too.
     let (default, c614) = (ClockConfig::k20_default(), ClockConfig::k20_614());
     let passes = [
-        (default, c614, MemoryModel::FlatDram),
-        (c614, default, MemoryModel::FlatDram),
-        (default, c614, MemoryModel::Cached(CacheConfig::k20())),
+        (default, MemoryModel::FlatDram),
+        (c614, MemoryModel::FlatDram),
+        (default, MemoryModel::Cached(CacheConfig::k20())),
     ];
-    for (clocks, other_clocks, mem_model) in passes {
+    for (clocks, mem_model) in passes {
         for bench in &benches {
             let spec = bench.spec();
             if !spec.regular {
@@ -126,9 +119,7 @@ fn every_regular_workload_is_strategy_invariant() {
             let input = small_input(spec.key)
                 .unwrap_or_else(|| panic!("no small input for regular bench {:?}", spec.key));
 
-            // Reference semantics, then each pre-execution variant cold
-            // (cache cleared), then a warm run that must replay from cache,
-            // then a replay from a cache filled under the other clocks.
+            // Reference semantics, then each pre-execution variant.
             let reference = outcome(
                 bench.as_ref(),
                 &input,
@@ -136,42 +127,14 @@ fn every_regular_workload_is_strategy_invariant() {
                 mem_model,
                 ExecStrategy::AtDispatch,
             );
-            let serial = ExecStrategy::PreExec { jobs: 1 };
             for (label, strategy) in [
-                ("pre-exec serial", serial),
+                ("pre-exec serial", ExecStrategy::PreExec { jobs: 1 }),
                 ("pre-exec sharded", ExecStrategy::PreExec { jobs: 3 }),
             ] {
-                kepler_sim::reset_exec_cache();
-                let cold = outcome(bench.as_ref(), &input, clocks, mem_model, strategy);
+                let pre = outcome(bench.as_ref(), &input, clocks, mem_model, strategy);
                 assert_eq!(
-                    reference, cold,
-                    "{} ({label}, cold) diverged from exec-at-dispatch",
-                    spec.key
-                );
-                let warm = outcome(bench.as_ref(), &input, clocks, mem_model, strategy);
-                assert_eq!(
-                    reference, warm,
-                    "{} ({label}, cache replay) diverged from exec-at-dispatch",
-                    spec.key
-                );
-            }
-
-            // A cold serial fill under the other clocks: each launch it
-            // pre-executes is a miss, retained (these small inputs stay far
-            // under the cache's byte budget) for the replay to hit.
-            kepler_sim::reset_exec_cache();
-            outcome(bench.as_ref(), &input, other_clocks, mem_model, serial);
-            let (hits_before, filled) = kepler_sim::exec_cache_stats();
-            let crossed = outcome(bench.as_ref(), &input, clocks, mem_model, serial);
-            assert_eq!(
-                reference, crossed,
-                "{} (replay of a cache filled under other clocks) diverged from exec-at-dispatch",
-                spec.key
-            );
-            if filled > 0 {
-                assert!(
-                    kepler_sim::exec_cache_stats().0 > hits_before,
-                    "{}: a cache filled under other clocks served no launch",
+                    reference, pre,
+                    "{} ({label}) diverged from exec-at-dispatch",
                     spec.key
                 );
             }

@@ -66,12 +66,16 @@ fn prefetched_plan_leaves_no_misses_for_the_generators() {
     let c = Campaign::in_memory();
     let plan = plan_artifacts(&[Artifact::Fig5], 1);
     let unique = c.execute(&plan);
-    assert_eq!(c.stats().simulated as usize, unique);
+    let resolved = |c: &Campaign| {
+        let s = c.stats();
+        (s.simulated + s.trace_replays) as usize
+    };
+    assert_eq!(resolved(&c), unique, "{}", c.stats());
 
     let devices_before = kepler_sim::devices_created();
     let rows = input_power_figure(&c, 1);
     assert!(!rows.is_empty());
     assert_eq!(kepler_sim::devices_created(), devices_before);
-    assert_eq!(c.stats().simulated as usize, unique);
+    assert_eq!(resolved(&c), unique, "{}", c.stats());
     let _ = render_fig5(&rows);
 }
