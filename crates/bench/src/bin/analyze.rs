@@ -85,18 +85,7 @@ fn analyze_one(
     input_sel: Option<&str>,
     base: &Baseline,
 ) -> WorkloadAnalysis {
-    let inputs = bench.inputs();
-    let input = match input_sel {
-        None => &inputs[0],
-        Some(sel) => match sel.parse::<usize>() {
-            Ok(idx) if idx < inputs.len() => &inputs[idx],
-            _ => inputs.iter().find(|i| i.name == sel).unwrap_or_else(|| {
-                let names: Vec<&str> = inputs.iter().map(|i| i.name).collect();
-                eprintln!("unknown input '{sel}' (have: {})", names.join("; "));
-                std::process::exit(2);
-            }),
-        },
-    };
+    let input = &bench::select_input(&bench.inputs(), input_sel);
     let mut wa = analyze_workload(bench, input);
     base.apply(&mut wa);
     wa

@@ -66,18 +66,10 @@ fn parse_args() -> Args {
             "--input" | "-i" => args.input = Some(val()),
             "--config" | "-c" => {
                 let v = val();
-                args.config = match v.as_str() {
-                    "default" => GpuConfigKind::Default,
-                    "614" => GpuConfigKind::C614,
-                    "324" => GpuConfigKind::C324,
-                    "ECC" | "ecc" => GpuConfigKind::Ecc,
-                    "cache" => GpuConfigKind::Cache,
-                    "cache614" => GpuConfigKind::Cache614,
-                    _ => {
-                        eprintln!("unknown config '{v}' (want default|614|324|ECC|cache|cache614)");
-                        std::process::exit(2);
-                    }
-                };
+                args.config = GpuConfigKind::from_name(&v).unwrap_or_else(|| {
+                    eprintln!("unknown config '{v}' (want default|614|324|ECC|cache|cache614)");
+                    std::process::exit(2);
+                });
             }
             "--out" | "-o" => args.out = Some(val()),
             "--format" | "-f" => args.format = Some(val()),
@@ -120,18 +112,7 @@ fn main() {
         eprintln!("unknown workload '{key}' (try --list)");
         std::process::exit(2);
     };
-    let inputs = bench.inputs();
-    let input = match args.input.as_deref() {
-        None => &inputs[0],
-        Some(sel) => match sel.parse::<usize>() {
-            Ok(idx) if idx < inputs.len() => &inputs[idx],
-            _ => inputs.iter().find(|i| i.name == sel).unwrap_or_else(|| {
-                let names: Vec<&str> = inputs.iter().map(|i| i.name).collect();
-                eprintln!("unknown input '{sel}' (have: {})", names.join("; "));
-                std::process::exit(2);
-            }),
-        },
-    };
+    let input = &bench::select_input(&bench.inputs(), args.input.as_deref());
 
     let spec = bench.spec();
     eprintln!(

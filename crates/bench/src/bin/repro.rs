@@ -33,39 +33,16 @@
 //! (e.g. a fresh `--cache-dir`) replay them too. The closing summary
 //! reports `trace_replays=` and the trace DB's size. See `docs/TRACE.md`.
 
-use characterize::analysis::{render_static_analysis, static_analysis};
-use characterize::cache::{cache_sensitivity, render_cache_sensitivity};
-use characterize::campaign::{plan_artifacts, Artifact, Campaign, CampaignConfig};
-use characterize::energy::{energy_breakdown, sampling_error};
-use characterize::figures::{input_power_figure, power_profile, power_range_figure, ratio_figure};
-use characterize::report::*;
-use characterize::tables::{table1, table2, table3, table4, tr_detail};
-use characterize::GpuConfigKind;
+use characterize::artifact::{plan_artifacts, Artifact};
+use characterize::campaign::{Campaign, CampaignConfig};
 use std::path::PathBuf;
 
-/// `all` in output order. `trdata` (the companion technical report's full
-/// per-program sweep) stays opt-in: it is the most expensive matrix. The
-/// two energy-lab artifacts are also opt-in so the `all` output (and its
-/// goldens) stay byte-identical across releases.
-const ALL: [&str; 10] = [
-    "table1", "fig1", "fig2", "fig3", "fig4", "table2", "table3", "table4", "fig5", "fig6",
-];
-
-/// Opt-in artifacts accepted alongside the `all` set.
-const EXTRA: [&str; 5] = [
-    "trdata",
-    "energy-breakdown",
-    "energy-sampling-error",
-    "static-analysis",
-    "cache-sensitivity",
-];
-
 fn usage() -> ! {
+    let names: Vec<&str> = Artifact::VARIANTS.iter().map(|a| a.name()).collect();
     eprintln!(
         "usage: repro [--quick] [--no-cache] [--cache-dir DIR] [--trace-dir DIR] [--jobs N] [ARTIFACT...]\n\
-         artifacts: {} {} all",
-        ALL.join(" "),
-        EXTRA.join(" ")
+         artifacts: {} all",
+        names.join(" ")
     );
     std::process::exit(2);
 }
@@ -114,19 +91,17 @@ fn main() {
     }
 
     // Expand `all` and validate, preserving request order without dupes.
-    let mut artifacts: Vec<&str> = Vec::new();
+    let mut artifacts: Vec<Artifact> = Vec::new();
     for s in &selectors {
-        let expanded: Vec<&str> = if s == "all" {
-            ALL.to_vec()
-        } else if let Some(a) = EXTRA.iter().find(|a| **a == s.as_str()) {
-            vec![*a]
-        } else if let Some(a) = ALL.iter().find(|a| **a == s.as_str()) {
-            vec![*a]
+        let expanded: &[Artifact] = if s == "all" {
+            Artifact::ALL
+        } else if let Some(a) = Artifact::from_name(s) {
+            &[a]
         } else {
             eprintln!("[repro] unknown artifact: {s}");
             usage();
         };
-        for a in expanded {
+        for &a in expanded {
             if !artifacts.contains(&a) {
                 artifacts.push(a);
             }
@@ -148,68 +123,11 @@ fn main() {
     // artifact's run matrix once; the generators below then resolve
     // entirely from the memo.
     let t0 = std::time::Instant::now();
-    let wanted: Vec<Artifact> = artifacts
-        .iter()
-        .filter_map(|a| Artifact::from_name(a))
-        .collect();
-    let raw: usize = wanted.iter().map(|a| a.runs(reps).len()).sum();
-    let plan = plan_artifacts(&wanted, reps);
-    let unique = campaign.execute(&plan);
+    let raw: usize = artifacts.iter().map(|a| a.runs(reps).len()).sum();
+    let unique = campaign.execute(&plan_artifacts(&artifacts, reps));
 
-    for what in &artifacts {
-        match *what {
-            "table1" => println!("{}", render_table1(&table1())),
-            "fig1" => println!("{}", render_fig1(&power_profile("sgemm"))),
-            "fig2" => {
-                let f = ratio_figure(&campaign, GpuConfigKind::Default, GpuConfigKind::C614, reps);
-                println!(
-                    "{}",
-                    render_ratio_figure(&f, "Figure 2: effects of the 614 configuration")
-                );
-            }
-            "fig3" => {
-                let f = ratio_figure(&campaign, GpuConfigKind::C614, GpuConfigKind::C324, reps);
-                println!(
-                    "{}",
-                    render_ratio_figure(&f, "Figure 3: effects of the 324 configuration")
-                );
-            }
-            "fig4" => {
-                let f = ratio_figure(&campaign, GpuConfigKind::Default, GpuConfigKind::Ecc, reps);
-                println!("{}", render_ratio_figure(&f, "Figure 4: effects of ECC"));
-            }
-            "table2" => println!("{}", render_table2(&table2(&campaign))),
-            "table3" => println!("{}", render_table3(&table3(&campaign, reps))),
-            "table4" => println!("{}", render_table4(&table4(&campaign, reps))),
-            "fig5" => println!("{}", render_fig5(&input_power_figure(&campaign, reps))),
-            "fig6" => println!("{}", render_fig6(&power_range_figure(&campaign, reps))),
-            "trdata" => println!("{}", render_tr_detail(&tr_detail(&campaign, reps))),
-            "energy-breakdown" => {
-                println!(
-                    "{}",
-                    render_energy_breakdown(&energy_breakdown(&campaign, reps))
-                )
-            }
-            "energy-sampling-error" => {
-                println!(
-                    "{}",
-                    render_sampling_error(&sampling_error(&campaign, reps))
-                )
-            }
-            "static-analysis" => {
-                println!(
-                    "{}",
-                    render_static_analysis(&static_analysis(&campaign, reps))
-                )
-            }
-            "cache-sensitivity" => {
-                println!(
-                    "{}",
-                    render_cache_sensitivity(&cache_sensitivity(&campaign, reps))
-                )
-            }
-            _ => unreachable!(),
-        }
+    for a in &artifacts {
+        println!("{}", a.render(&campaign, reps));
     }
 
     let stats = campaign.stats();

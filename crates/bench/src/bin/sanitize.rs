@@ -110,18 +110,7 @@ fn sanitize_one(
     args: &Args,
     extra: &Allowlist,
 ) -> Report {
-    let inputs = bench.inputs();
-    let input = match input_sel {
-        None => &inputs[0],
-        Some(sel) => match sel.parse::<usize>() {
-            Ok(idx) if idx < inputs.len() => &inputs[idx],
-            _ => inputs.iter().find(|i| i.name == sel).unwrap_or_else(|| {
-                let names: Vec<&str> = inputs.iter().map(|i| i.name).collect();
-                eprintln!("unknown input '{sel}' (have: {})", names.join("; "));
-                std::process::exit(2);
-            }),
-        },
-    };
+    let input = &bench::select_input(&bench.inputs(), input_sel);
     let mut run = sanitize_run_raw(bench, input, args.checkers);
     let list = if args.use_workload_allowlist {
         workload_allowlist(bench, extra)

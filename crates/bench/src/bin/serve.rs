@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve [--addr A] [--workers N] [--queue N] [--cache-dir DIR | --no-cache]
-//!       [--trace-dir DIR] [--reps 1|3] [--timeout-s S] [--worker ADDR]...
+//!       [--trace-dir DIR] [--timeout-s S] [--worker ADDR]...
 //!
 //! --addr A        bind address (default 127.0.0.1:8077; port 0 = ephemeral)
 //! --workers N     measurement worker threads (default 2)
@@ -22,8 +22,6 @@
 //!                 configuration — this is what makes fine /v1/sweep
 //!                 grids cheap) re-simulate from them without functional
 //!                 execution; see docs/TRACE.md
-//! --reps R        default repetitions for /v1/artifacts (default 3, the
-//!                 paper's methodology and the goldens' setting)
 //! --timeout-s S   per-request job deadline (default 300)
 //! ```
 //!
@@ -38,7 +36,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr A] [--workers N] [--queue N] [--cache-dir DIR | --no-cache] \
-         [--trace-dir DIR] [--reps 1|3] [--timeout-s S] [--worker ADDR]..."
+         [--trace-dir DIR] [--timeout-s S] [--worker ADDR]..."
     );
     std::process::exit(2);
 }
@@ -72,11 +70,6 @@ fn main() {
                 Some(d) => cfg.trace_dir = Some(PathBuf::from(d)),
                 None => usage(),
             },
-            "--reps" => match args.next().as_deref() {
-                Some("1") => cfg.default_artifact_reps = 1,
-                Some("3") => cfg.default_artifact_reps = 3,
-                _ => usage(),
-            },
             "--timeout-s" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(s) if s > 0 => cfg.request_timeout = Duration::from_secs(s),
                 _ => usage(),
@@ -102,7 +95,7 @@ fn main() {
         }
     };
     eprintln!(
-        "[serve] listening on {} | workers={} queue={} cache={} traces={} artifact_reps={} dispatch_workers={}",
+        "[serve] listening on {} | workers={} queue={} cache={} traces={} dispatch_workers={}",
         server.local_addr(),
         cfg.workers,
         cfg.queue_capacity,
@@ -114,7 +107,6 @@ fn main() {
             .as_deref()
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| "none".to_string()),
-        cfg.default_artifact_reps,
         cfg.dispatch.workers.len(),
     );
     server.run();

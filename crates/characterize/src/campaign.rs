@@ -8,8 +8,8 @@
 //! [`Campaign`] instead:
 //!
 //! * **plans** — collects the deduplicated run matrix requested by any set
-//!   of artifacts ([`plan_artifacts`] / the `*_runs()` planners in
-//!   [`crate::tables`] and [`crate::figures`]);
+//!   of artifacts ([`plan_artifacts`] over the [`crate::artifact`]
+//!   catalogue and the `*_runs()` planners behind it);
 //! * **executes** — runs the unique (workload, input, config, rep) units
 //!   on the rayon pool in (workload, input) groups, exactly once per
 //!   process, with in-flight deduplication so even unplanned concurrent
@@ -49,6 +49,10 @@ use std::time::Instant;
 use workloads::bench::{Benchmark, InputSpec, ItemCounts};
 use workloads::registry;
 
+/// The catalogue lives in [`crate::artifact`]; the repository benchmark
+/// still imports it from here.
+pub use crate::artifact::{plan_artifacts, Artifact};
+
 /// Version prefix of the canonical cache key and the on-disk record
 /// layout. Bump when the record format changes shape.
 const FORMAT_VERSION: &str = "v3";
@@ -87,104 +91,6 @@ impl RunRequest {
     pub fn cache_key(&self) -> String {
         canonical_key_parts(self.key, &self.input, self.config.name(), self.rep)
     }
-}
-
-/// The artifacts whose data comes from the measurement matrix. Table 1 and
-/// Figure 1 are excluded on purpose: the inventory needs no measurements
-/// and the sample power profile uses its own fixed-seed run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Artifact {
-    Table2,
-    Table3,
-    Table4,
-    Fig2,
-    Fig3,
-    Fig4,
-    Fig5,
-    Fig6,
-    TrDetail,
-    /// Instruction-class energy-attribution table over the energy-study
-    /// workload set.
-    EnergyBreakdown,
-    /// Sampled-energy error vs. sensor-sampling policy.
-    SamplingError,
-    /// Static boundedness class vs. measured clock sensitivity
-    /// (cross-validation of the `sim-analyze` classifier).
-    StaticAnalysis,
-    /// Flat-DRAM vs sectored-cache comparison: hit rates, core-clock
-    /// sensitivity under both memory models, static cache class.
-    CacheSensitivity,
-}
-
-impl Artifact {
-    /// Parse a `repro`-style artifact selector. Returns `None` for
-    /// artifacts that need no measurements (`table1`, `fig1`) and unknown
-    /// names alike.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "table2" => Artifact::Table2,
-            "table3" => Artifact::Table3,
-            "table4" => Artifact::Table4,
-            "fig2" => Artifact::Fig2,
-            "fig3" => Artifact::Fig3,
-            "fig4" => Artifact::Fig4,
-            "fig5" => Artifact::Fig5,
-            "fig6" => Artifact::Fig6,
-            "trdata" => Artifact::TrDetail,
-            "energy-breakdown" => Artifact::EnergyBreakdown,
-            "energy-sampling-error" => Artifact::SamplingError,
-            "static-analysis" => Artifact::StaticAnalysis,
-            "cache-sensitivity" => Artifact::CacheSensitivity,
-            _ => return None,
-        })
-    }
-
-    /// The runs this artifact needs at the given repetition count.
-    pub fn runs(&self, reps: u64) -> Vec<RunRequest> {
-        match self {
-            // Table 2's variability is meaningless without all three reps.
-            Artifact::Table2 => crate::tables::table2_runs(),
-            Artifact::Table3 => crate::tables::table3_runs(reps),
-            Artifact::Table4 => crate::tables::table4_runs(reps),
-            Artifact::Fig2 => {
-                crate::figures::ratio_figure_runs(GpuConfigKind::Default, GpuConfigKind::C614, reps)
-            }
-            Artifact::Fig3 => {
-                crate::figures::ratio_figure_runs(GpuConfigKind::C614, GpuConfigKind::C324, reps)
-            }
-            Artifact::Fig4 => {
-                crate::figures::ratio_figure_runs(GpuConfigKind::Default, GpuConfigKind::Ecc, reps)
-            }
-            Artifact::Fig5 => crate::figures::input_power_figure_runs(reps),
-            Artifact::Fig6 => crate::figures::power_range_figure_runs(reps),
-            Artifact::TrDetail => crate::tables::tr_detail_runs(reps),
-            // Both energy artifacts draw the same run slice.
-            Artifact::EnergyBreakdown | Artifact::SamplingError => crate::energy::energy_runs(reps),
-            // Same slice as Figure 2: a warm campaign adds no runs.
-            Artifact::StaticAnalysis => crate::analysis::static_analysis_runs(reps),
-            Artifact::CacheSensitivity => crate::cache::cache_sensitivity_runs(reps),
-        }
-    }
-}
-
-/// Collect the deduplicated run matrix of a set of artifacts. Requests are
-/// deduplicated by canonical cache key, preserving first-seen order.
-pub fn plan_artifacts(artifacts: &[Artifact], reps: u64) -> Vec<RunRequest> {
-    let mut seen = HashSet::new();
-    let mut plan = Vec::new();
-    for a in artifacts {
-        for req in a.runs(reps) {
-            if seen.insert(canonical_key_parts(
-                req.key,
-                &req.input,
-                req.config.name(),
-                req.rep,
-            )) {
-                plan.push(req);
-            }
-        }
-    }
-    plan
 }
 
 /// Rep indices a `reps` request expands to: the paper's three repetitions,

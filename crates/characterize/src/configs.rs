@@ -46,9 +46,12 @@ impl GpuConfigKind {
         GpuConfigKind::Cache614,
     ];
 
-    /// Resolve a configuration from its stable [`Self::name`].
+    /// Resolve a configuration from its stable [`Self::name`], ignoring
+    /// ASCII case (`ecc` is [`GpuConfigKind::Ecc`]).
     pub fn from_name(name: &str) -> Option<Self> {
-        Self::VARIANTS.iter().copied().find(|k| k.name() == name)
+        Self::VARIANTS
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(name))
     }
 
     /// Memory-model identity tag of this configuration — `"flat"` or
@@ -120,6 +123,21 @@ mod tests {
     fn names_render() {
         assert_eq!(GpuConfigKind::C324.to_string(), "324");
         assert_eq!(GpuConfigKind::Cache.to_string(), "cache");
+    }
+
+    #[test]
+    fn names_resolve_ignoring_case() {
+        for k in GpuConfigKind::VARIANTS {
+            assert_eq!(GpuConfigKind::from_name(k.name()), Some(k));
+            assert_eq!(
+                GpuConfigKind::from_name(&k.name().to_ascii_uppercase()),
+                Some(k)
+            );
+        }
+        assert_eq!(GpuConfigKind::from_name("ecc"), Some(GpuConfigKind::Ecc));
+        assert_eq!(GpuConfigKind::from_name("999"), None);
+        // Sweep-point tags never name a configuration.
+        assert_eq!(GpuConfigKind::from_name("sweep:c0:m0"), None);
     }
 
     #[test]

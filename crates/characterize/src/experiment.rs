@@ -111,17 +111,38 @@ pub fn measure_with_device_config(
     let counters = dev.total_counters();
     let kernel_time_s = dev.kernel_time();
     let (trace, _stats) = dev.finish();
-    let sensor = PowerSensor::default();
-    let samples = sensor.sample(&trace, seed ^ 0x5A5A);
+    measure_power(
+        &trace,
+        seed,
+        counters,
+        kernel_time_s,
+        out.checksum,
+        out.items,
+    )
+}
+
+/// The power chain every measurement shares: sample the finished run's
+/// ground-truth trace with the emulated sensor, analyze the samples with
+/// K20Power, and study the sampling policies. An unmeasurable run is an
+/// `Err` and carries no sampled energies.
+fn measure_power(
+    trace: &PowerTrace,
+    seed: u64,
+    counters: KernelCounters,
+    kernel_time_s: f64,
+    checksum: f64,
+    items: Option<ItemCounts>,
+) -> Result<Measurement, PowerError> {
+    let samples = PowerSensor::default().sample(trace, seed ^ 0x5A5A);
     let reading = K20Power::default().analyze(&samples)?;
     let sampled_energy_j = study_policies()
         .iter()
-        .map(|p| sampled_energy(&trace, p, seed).energy_j)
+        .map(|p| sampled_energy(trace, p, seed).energy_j)
         .collect();
     Ok(Measurement {
         reading,
-        checksum: out.checksum,
-        items: out.items,
+        checksum,
+        items,
         counters,
         board_energy_j: trace.total_energy(),
         trace_end_s: trace.end_time(),
@@ -157,23 +178,14 @@ pub fn measure_with_device_config_recording(
     let counters = dev.total_counters();
     let kernel_time_s = dev.kernel_time();
     let (trace, _stats) = dev.finish();
-    let sensor = PowerSensor::default();
-    let samples = sensor.sample(&trace, seed ^ 0x5A5A);
-    let reading = K20Power::default().analyze(&samples);
-    let sampled_energy_j: Vec<f64> = study_policies()
-        .iter()
-        .map(|p| sampled_energy(&trace, p, seed).energy_j)
-        .collect();
-    let res = reading.map(|reading| Measurement {
-        reading,
-        checksum: out.checksum,
-        items: out.items,
+    let res = measure_power(
+        &trace,
+        seed,
         counters,
-        board_energy_j: trace.total_energy(),
-        trace_end_s: trace.end_time(),
         kernel_time_s,
-        sampled_energy_j,
-    });
+        out.checksum,
+        out.items,
+    );
     let stored = rec.finish().map(|run| StoredTrace {
         run,
         checksum: out.checksum,
@@ -204,23 +216,7 @@ pub fn measure_from_trace(
     let counters = dev.total_counters();
     let kernel_time_s = dev.kernel_time();
     let (trace, _stats) = dev.finish();
-    let sensor = PowerSensor::default();
-    let samples = sensor.sample(&trace, seed ^ 0x5A5A);
-    let reading = K20Power::default().analyze(&samples)?;
-    let sampled_energy_j = study_policies()
-        .iter()
-        .map(|p| sampled_energy(&trace, p, seed).energy_j)
-        .collect();
-    Ok(Measurement {
-        reading,
-        checksum: st.checksum,
-        items: st.items,
-        counters,
-        board_energy_j: trace.total_energy(),
-        trace_end_s: trace.end_time(),
-        kernel_time_s,
-        sampled_energy_j,
-    })
+    measure_power(&trace, seed, counters, kernel_time_s, st.checksum, st.items)
 }
 
 /// One run measured with full telemetry: the usual sensor/K20Power reading

@@ -8,6 +8,7 @@
 //! every table and figure of the evaluation section.
 
 pub mod analysis;
+pub mod artifact;
 pub mod cache;
 pub mod campaign;
 pub mod configs;
@@ -23,13 +24,14 @@ pub use analysis::{
     render_static_analysis, static_analysis, static_analysis_runs, StaticAnalysis,
     StaticAnalysisRow,
 };
+pub use artifact::{plan_artifacts, Artifact};
 pub use cache::{
     cache_sensitivity, cache_sensitivity_runs, render_cache_sensitivity, CacheSensitivity,
     CacheSensitivityRow, CACHE_SERVED_THRESHOLD,
 };
 pub use campaign::{
-    pareto_front, plan_artifacts, sim_fingerprint, sweep_grid, Artifact, Campaign, CampaignConfig,
-    CampaignStats, RunRequest, SweepPoint, SWEEP_CORE_MHZ, SWEEP_MEM_MHZ,
+    pareto_front, sim_fingerprint, sweep_grid, Campaign, CampaignConfig, CampaignStats, RunRequest,
+    SweepPoint, SWEEP_CORE_MHZ, SWEEP_MEM_MHZ,
 };
 pub use configs::GpuConfigKind;
 pub use energy::{

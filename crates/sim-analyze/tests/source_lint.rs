@@ -1,8 +1,10 @@
 //! Source lint over `crates/workloads/src`: every kernel that opts into
-//! `parallel_safe` must also override `params()`, because pre-executed
-//! launches are cached by `(kernel name, params, geometry)` — a safe
-//! kernel without a params fold would alias cache entries across distinct
-//! parameterizations and silently replay the wrong results.
+//! `parallel_safe` must also override `params()`, because the trace
+//! recorder deduplicates a run's launches by their `LaunchKey` — kernel
+//! name, params, geometry and memory fingerprint. Without a params fold,
+//! two launches of a safe kernel that differ only in a scalar parameter
+//! share one key, and replaying the trace gives one launch's costs to the
+//! other.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -90,7 +92,7 @@ fn parallel_safe_kernels_override_params() {
     assert!(
         violations.is_empty(),
         "parallel_safe kernels must override params() and footprint() \
-(pre-exec cache correctness + provability):\n  {}",
+(trace dedup by LaunchKey + provability):\n  {}",
         violations.join("\n  ")
     );
 }

@@ -3,15 +3,11 @@
 //! `characterize` crate.
 
 use crate::json::{self, Json};
-use characterize::analysis::render_static_analysis;
+use characterize::artifact::{plan_artifacts, Artifact};
 use characterize::campaign::{
-    pareto_front, plan_artifacts, rep_indices, sweep_grid, unit_cache_key, Artifact, Campaign,
-    SweepPoint, SWEEP_CORE_MHZ, SWEEP_MEM_MHZ,
+    pareto_front, rep_indices, sweep_grid, unit_cache_key, Campaign, SweepPoint, SWEEP_CORE_MHZ,
+    SWEEP_MEM_MHZ,
 };
-use characterize::energy::{energy_breakdown, sampling_error};
-use characterize::figures::{input_power_figure, power_profile, power_range_figure, ratio_figure};
-use characterize::report::*;
-use characterize::tables::{table1, table2, table3, table4, tr_detail};
 use characterize::{GpuConfigKind, MedianMeasurement};
 use gpower::{PowerError, Reading};
 use workloads::bench::{Benchmark, InputSpec};
@@ -196,18 +192,13 @@ pub fn parse_run_request(body: &[u8]) -> Result<RunParams, ApiError> {
             let name = v.as_str().ok_or_else(|| {
                 ApiError::new(400, "invalid_config", "\"config\" must be a string")
             })?;
-            GpuConfigKind::VARIANTS
-                .into_iter()
-                .find(|c| c.name().eq_ignore_ascii_case(name))
-                .ok_or_else(|| {
-                    ApiError::new(
-                        400,
-                        "unknown_config",
-                        format!(
-                            "no configuration {name:?}; one of default/614/324/ECC/cache/cache614"
-                        ),
-                    )
-                })?
+            GpuConfigKind::from_name(name).ok_or_else(|| {
+                ApiError::new(
+                    400,
+                    "unknown_config",
+                    format!("no configuration {name:?}; one of default/614/324/ECC/cache/cache614"),
+                )
+            })?
         }
     };
     Ok(RunParams {
@@ -469,77 +460,26 @@ pub fn sweep_response(campaign: &Campaign, params: &SweepParams) -> Json {
     ])
 }
 
-/// Every artifact name `repro` accepts, in `repro all` output order plus
-/// the opt-in `trdata` and the energy-lab artifacts.
-pub const ARTIFACT_NAMES: [&str; 15] = [
-    "table1",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "table2",
-    "table3",
-    "table4",
-    "fig5",
-    "fig6",
-    "trdata",
-    "energy-breakdown",
-    "energy-sampling-error",
-    "static-analysis",
-    "cache-sensitivity",
-];
-
-/// Generate one artifact's text, byte-identical to `repro <name>` stdout
-/// at the same repetition count: the same generator, the same renderer,
-/// the same trailing newline.
-pub fn artifact_text(campaign: &Campaign, name: &str, reps: u64) -> Result<String, ApiError> {
-    if !ARTIFACT_NAMES.contains(&name) {
-        return Err(ApiError::new(
+/// Resolve an artifact name, or the `404` that lists every name.
+pub fn lookup_artifact(name: &str) -> Result<Artifact, ApiError> {
+    Artifact::from_name(name).ok_or_else(|| {
+        let names: Vec<&str> = Artifact::VARIANTS.iter().map(|a| a.name()).collect();
+        ApiError::new(
             404,
             "unknown_artifact",
-            format!("no artifact {name:?}; one of {ARTIFACT_NAMES:?}"),
-        ));
-    }
-    // Prefetch the artifact's run matrix through the shared campaign (one
-    // deduplicated parallel pass; progress events flow to subscribers),
-    // then render from the memo.
-    if let Some(a) = Artifact::from_name(name) {
-        campaign.execute(&plan_artifacts(&[a], reps));
-    }
-    let rendered = match name {
-        "table1" => render_table1(&table1()),
-        "fig1" => render_fig1(&power_profile("sgemm")),
-        "fig2" => render_ratio_figure(
-            &ratio_figure(campaign, GpuConfigKind::Default, GpuConfigKind::C614, reps),
-            "Figure 2: effects of the 614 configuration",
-        ),
-        "fig3" => render_ratio_figure(
-            &ratio_figure(campaign, GpuConfigKind::C614, GpuConfigKind::C324, reps),
-            "Figure 3: effects of the 324 configuration",
-        ),
-        "fig4" => render_ratio_figure(
-            &ratio_figure(campaign, GpuConfigKind::Default, GpuConfigKind::Ecc, reps),
-            "Figure 4: effects of ECC",
-        ),
-        "table2" => render_table2(&table2(campaign)),
-        "table3" => render_table3(&table3(campaign, reps)),
-        "table4" => render_table4(&table4(campaign, reps)),
-        "fig5" => render_fig5(&input_power_figure(campaign, reps)),
-        "fig6" => render_fig6(&power_range_figure(campaign, reps)),
-        "trdata" => render_tr_detail(&tr_detail(campaign, reps)),
-        "energy-breakdown" => render_energy_breakdown(&energy_breakdown(campaign, reps)),
-        "energy-sampling-error" => render_sampling_error(&sampling_error(campaign, reps)),
-        "static-analysis" => {
-            render_static_analysis(&characterize::analysis::static_analysis(campaign, reps))
-        }
-        "cache-sensitivity" => characterize::cache::render_cache_sensitivity(
-            &characterize::cache::cache_sensitivity(campaign, reps),
-        ),
-        _ => unreachable!("gated by ARTIFACT_NAMES"),
-    };
-    // `repro` prints with `println!`, so the byte-identical body carries
-    // the trailing newline.
-    Ok(format!("{rendered}\n"))
+            format!("no artifact {name:?}; one of {names:?}"),
+        )
+    })
+}
+
+/// One artifact's text, byte-identical to `repro <name>` stdout at the
+/// same repetition count. The artifact's run matrix is prefetched through
+/// the shared campaign (one deduplicated parallel pass; progress events
+/// flow to subscribers), then rendered from the memo.
+pub fn artifact_text(campaign: &Campaign, artifact: Artifact, reps: u64) -> String {
+    campaign.execute(&plan_artifacts(&[artifact], reps));
+    // `repro` prints with `println!`, so the body carries the newline.
+    format!("{}\n", artifact.render(campaign, reps))
 }
 
 /// `GET /v1/workloads`: the discoverable request space.
@@ -706,11 +646,8 @@ pub fn sweep_units(params: &SweepParams) -> Vec<Unit> {
 
 /// The deduplicated unit matrix behind one artifact, in plan order
 /// (empty for the measurement-free artifacts).
-pub fn artifact_units(name: &str, reps: u64) -> Vec<Unit> {
-    let Some(a) = Artifact::from_name(name) else {
-        return Vec::new();
-    };
-    plan_artifacts(&[a], reps)
+pub fn artifact_units(artifact: Artifact, reps: u64) -> Vec<Unit> {
+    plan_artifacts(&[artifact], reps)
         .into_iter()
         .filter_map(|r| {
             registry::by_key(r.key).map(|b| Unit {
@@ -757,18 +694,9 @@ pub fn parse_units_request(body: &[u8]) -> Result<Vec<Unit>, ApiError> {
                     let name = c.as_str().ok_or_else(|| {
                         ApiError::new(400, "invalid_config", "\"config\" must be a string")
                     })?;
-                    UnitConfig::Named(
-                        GpuConfigKind::VARIANTS
-                            .into_iter()
-                            .find(|k| k.name().eq_ignore_ascii_case(name))
-                            .ok_or_else(|| {
-                                ApiError::new(
-                                    400,
-                                    "unknown_config",
-                                    format!("no configuration {name:?}"),
-                                )
-                            })?,
-                    )
+                    UnitConfig::Named(GpuConfigKind::from_name(name).ok_or_else(|| {
+                        ApiError::new(400, "unknown_config", format!("no configuration {name:?}"))
+                    })?)
                 }
                 (None, Some(c), Some(m)) => {
                     let bits = |v: &Json, field: &str| {
@@ -931,11 +859,11 @@ mod tests {
     #[test]
     fn artifact_names_cover_repro_and_reject_unknown() {
         let c = Campaign::in_memory();
-        let e = artifact_text(&c, "table9", 1).unwrap_err();
+        let e = lookup_artifact("table9").unwrap_err();
         assert_eq!((e.status, e.code), (404, "unknown_artifact"));
         // The measurement-free artifacts render without touching the
         // simulator's measurement path.
-        let t1 = artifact_text(&c, "table1", 1).unwrap();
+        let t1 = artifact_text(&c, lookup_artifact("table1").unwrap(), 1);
         assert!(t1.starts_with("Table 1"));
         assert!(t1.ends_with('\n'));
     }
@@ -987,7 +915,7 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.code, "invalid_clock");
         // Artifact planning exposes a non-empty keyed matrix.
-        let plan = artifact_units("table4", 1);
+        let plan = artifact_units(Artifact::Table4, 1);
         assert!(!plan.is_empty());
         assert!(plan[0].cache_key().contains("|cfg="));
     }

@@ -333,6 +333,7 @@ impl<W: Write> ChunkedResponse<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Request, ReadError> {
@@ -460,5 +461,122 @@ mod tests {
         assert!(text.contains("X-Request-Id: req-000001\r\n"));
         assert!(text.contains("8\r\n{\"a\":1}\n\r\n"));
         assert!(text.ends_with("0\r\n\r\n"));
+    }
+
+    /// Read requests from `bytes` until the stream ends or one fails, as
+    /// a keep-alive connection would.
+    fn read_all(bytes: &[u8]) {
+        let mut r = BufReader::new(bytes);
+        while read_request(&mut r, &Limits::default()).is_ok() {}
+    }
+
+    /// A well-formed request on the wire, with the [`Request`] it must
+    /// parse to: method, path, a query, headers and a
+    /// `Content-Length`-framed body of arbitrary bytes.
+    fn arb_request() -> impl Strategy<Value = (Request, Vec<u8>)> {
+        (
+            0usize..3,
+            proptest::collection::vec(0u8..=255, 0..24),
+            proptest::collection::vec(0u8..=255, 0..64),
+            0usize..4,
+        )
+            .prop_map(|(m, path, body, extra)| {
+                // Visible ASCII other than '?' (which starts the query).
+                let path: String = path
+                    .iter()
+                    .map(|&b| match (b'!' + b % 94) as char {
+                        '?' => '_',
+                        c => c,
+                    })
+                    .collect();
+                let mut headers = vec![("host".to_string(), "x".to_string())];
+                for i in 0..extra {
+                    headers.push((format!("x-extra-{i}"), format!("v{i}")));
+                }
+                headers.push(("content-length".to_string(), body.len().to_string()));
+                let req = Request {
+                    method: ["GET", "POST", "DELETE"][m].to_string(),
+                    path: format!("/v1/{path}"),
+                    query: vec![
+                        ("reps".to_string(), "1".to_string()),
+                        ("stream".to_string(), String::new()),
+                    ],
+                    headers,
+                    body,
+                };
+                let mut raw = format!("{} {}?reps=1&stream HTTP/1.1\r\n", req.method, req.path);
+                for (k, v) in &req.headers {
+                    raw.push_str(&format!("{}:  {v} \r\n", k.to_ascii_uppercase()));
+                }
+                raw.push_str("\r\n");
+                let mut bytes = raw.into_bytes();
+                bytes.extend_from_slice(&req.body);
+                (req, bytes)
+            })
+    }
+
+    /// `Content-Length` values a client may send that do not frame the
+    /// body that follows.
+    const CLAIMED_LENGTHS: [&str; 7] = [
+        "0",
+        "65537",
+        "99999999999999999999",
+        "18446744073709551615",
+        "-1",
+        "+4",
+        "4 4",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn read_request_survives_arbitrary_bytes(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            read_all(&bytes);
+        }
+
+        #[test]
+        fn read_request_survives_damaged_requests(
+            reqs in proptest::collection::vec(arb_request(), 1..4),
+            claim in 0usize..CLAIMED_LENGTHS.len() + 1,
+            cut in 0usize..1024,
+            flips in proptest::collection::vec((0usize..1024, 0u8..=255), 0..4),
+        ) {
+            let mut bytes: Vec<u8> = reqs.into_iter().flat_map(|(_, raw)| raw).collect();
+            // Overrule the first request's length with a false one.
+            if let Some(len) = CLAIMED_LENGTHS.get(claim) {
+                let head = bytes.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+                let header = format!("\r\ncontent-length: {len}");
+                bytes.splice(head..head, header.into_bytes());
+            }
+            for (at, b) in flips {
+                let at = at % bytes.len();
+                bytes[at] = b;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            read_all(&bytes);
+        }
+
+        #[test]
+        fn well_formed_requests_parse_back_in_sequence(
+            reqs in proptest::collection::vec(arb_request(), 1..4),
+        ) {
+            let bytes: Vec<u8> = reqs.iter().flat_map(|(_, raw)| raw.clone()).collect();
+            let mut r = BufReader::new(&bytes[..]);
+            for (want, _) in &reqs {
+                let got = read_request(&mut r, &Limits::default()).unwrap();
+                prop_assert_eq!(&got.method, &want.method);
+                prop_assert_eq!(&got.path, &want.path);
+                prop_assert_eq!(&got.query, &want.query);
+                prop_assert_eq!(&got.headers, &want.headers);
+                prop_assert_eq!(&got.body, &want.body);
+            }
+            prop_assert!(matches!(
+                read_request(&mut r, &Limits::default()),
+                Err(ReadError::Closed)
+            ));
+        }
     }
 }

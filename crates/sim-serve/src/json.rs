@@ -405,6 +405,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     #[test]
     fn round_trips_basic_documents() {
@@ -467,5 +469,121 @@ mod tests {
         assert_eq!(Json::num(3.0).as_u64(), Some(3));
         assert_eq!(Json::num(3.5).as_u64(), None);
         assert_eq!(Json::num(-1.0).as_u64(), None);
+    }
+
+    /// Fragments a JSON text is made of, so random sequences of them reach
+    /// deep into the parser (escapes, surrogates, numbers, nesting).
+    const FRAGMENTS: [&str; 32] = [
+        "{", "}", "[", "]", "\"", ":", ",", " ", "\n", "\\", "\\u", "\\ud83d", "\\udc00", "00e9",
+        "\\n", "\\q", "true", "fals", "null", "-", "0", "17", ".", "5e", "E+", "e-9", "1e999",
+        "\"k\":", "\u{1}", "\u{7f}", "é", "😀",
+    ];
+
+    /// A random text: fragment soup, or random Unicode scalars.
+    fn arb_text() -> impl Strategy<Value = String> {
+        (
+            proptest::collection::vec(0usize..FRAGMENTS.len(), 0..48),
+            proptest::collection::vec(0u32..0x11_0000, 0..48),
+            0u8..4,
+        )
+            .prop_map(|(frags, scalars, mode)| {
+                let soup: String = frags.iter().map(|&i| FRAGMENTS[i]).collect();
+                let raw: String = scalars.iter().filter_map(|&c| char::from_u32(c)).collect();
+                match mode {
+                    0 => soup,
+                    1 => raw,
+                    _ => soup + &raw,
+                }
+            })
+    }
+
+    /// A short string of arbitrary characters, escapes needed or not.
+    fn arb_string(rng: &mut TestRng) -> String {
+        let n = rng.below(12);
+        (0..n)
+            .filter_map(|_| match rng.below(4) {
+                0 => char::from_u32(rng.below(0x80) as u32),
+                1 => Some(['"', '\\', '\n', '\u{0}', '\u{1f}', '/'][rng.below(6) as usize]),
+                _ => char::from_u32(rng.below(0x11_0000) as u32),
+            })
+            .collect()
+    }
+
+    /// Random JSON values no deeper than `depth` levels, with finite
+    /// numbers of every magnitude and strings of arbitrary characters.
+    struct ArbJson {
+        depth: usize,
+    }
+
+    impl Strategy for ArbJson {
+        type Value = Json;
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            let kinds = if self.depth == 0 { 4 } else { 6 };
+            let inner = ArbJson {
+                depth: self.depth.saturating_sub(1),
+            };
+            match rng.below(kinds) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.below(2) == 1),
+                2 => Json::Num(match rng.below(3) {
+                    0 => rng.below(1 << 53) as f64 - (1u64 << 52) as f64,
+                    1 => rng.unit_f64() * 1e6 - 5e5,
+                    _ => Some(f64::from_bits(rng.next_u64()))
+                        .filter(|n| n.is_finite())
+                        .unwrap_or(f64::MIN_POSITIVE),
+                }),
+                3 => Json::Str(arb_string(rng)),
+                4 => Json::Arr((0..rng.below(5)).map(|_| inner.generate(rng)).collect()),
+                _ => Json::Obj(
+                    (0..rng.below(5))
+                        .map(|_| (arb_string(rng), inner.generate(rng)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_survives_arbitrary_text(text in arb_text()) {
+            let _ = parse(&text);
+        }
+
+        #[test]
+        fn parse_survives_damaged_documents(
+            v in ArbJson { depth: 4 },
+            cut in 0usize..4096,
+            flips in proptest::collection::vec((0usize..4096, 0u8..=255), 0..3),
+        ) {
+            let mut bytes = v.dump().into_bytes();
+            for (at, b) in flips {
+                let at = at % bytes.len();
+                bytes[at] = b;
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn every_dumped_value_parses_back_equal(v in ArbJson { depth: 4 }) {
+            let text = v.dump();
+            let back = parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            prop_assert_eq!(&back, &v);
+            prop_assert_eq!(back.dump(), text);
+        }
+    }
+
+    /// The deepest value the parser accepts round-trips; one level more
+    /// is rejected, not a stack overflow.
+    #[test]
+    fn nesting_at_the_depth_limit_round_trips() {
+        let mut v = Json::Null;
+        for _ in 0..MAX_DEPTH {
+            v = Json::Arr(vec![v]);
+        }
+        assert_eq!(parse(&v.dump()).unwrap(), v);
+        assert!(parse(&Json::Arr(vec![v]).dump()).is_err());
     }
 }

@@ -47,7 +47,7 @@ pub mod metrics;
 pub mod queue;
 pub mod server;
 
-pub use api::{ApiError, ARTIFACT_NAMES, MAX_SWEEP_POINTS};
+pub use api::{ApiError, MAX_SWEEP_POINTS};
 pub use client::{ClientResponse, ClientStats, HttpClient};
 pub use dispatch::{hrw_owner, DispatchConfig, Dispatcher};
 pub use http::{Limits, Request, Response};

@@ -20,6 +20,7 @@ use crate::http::{
 use crate::json::Json;
 use crate::metrics::{Endpoint, Metrics};
 use crate::queue::{JobQueue, SubmitError};
+use characterize::artifact::Artifact;
 use characterize::campaign::{Campaign, CampaignConfig};
 use sim_telemetry::{Event, FanoutSink, TelemetrySink};
 use std::io::{BufReader, BufWriter};
@@ -47,9 +48,6 @@ pub struct ServerConfig {
     /// lets `POST /v1/sweep` serve fine grids cheaply. A directory keeps
     /// the traces for later processes. See `docs/TRACE.md`.
     pub trace_dir: Option<PathBuf>,
-    /// Repetitions for `/v1/artifacts` when the request does not say —
-    /// 3 keeps artifact bodies byte-identical to `repro` and the goldens.
-    pub default_artifact_reps: u64,
     /// Wall-clock budget for one queued job (`504` after; the job keeps
     /// running and its result lands in the cache).
     pub request_timeout: Duration,
@@ -72,7 +70,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_dir: None,
             trace_dir: None,
-            default_artifact_reps: 3,
             request_timeout: Duration::from_secs(300),
             keepalive_idle: Duration::from_secs(10),
             limits: Limits::default(),
@@ -125,7 +122,6 @@ pub struct ServeState {
     limits: Limits,
     request_timeout: Duration,
     keepalive_idle: Duration,
-    default_artifact_reps: u64,
     started: Instant,
     draining: AtomicBool,
     /// Live connection-handler count, guarded by a mutex (not an atomic)
@@ -178,12 +174,6 @@ enum JobReply {
 }
 
 impl JobReply {
-    fn status(&self) -> u16 {
-        match self {
-            JobReply::Json(s, _) | JobReply::Text(s, _) => *s,
-        }
-    }
-
     fn into_response(self) -> Response {
         match self {
             JobReply::Json(status, body) => Response::json(status, body.dump()),
@@ -259,7 +249,6 @@ impl Server {
             limits: cfg.limits,
             request_timeout: cfg.request_timeout,
             keepalive_idle: cfg.keepalive_idle,
-            default_artifact_reps: cfg.default_artifact_reps,
             started: Instant::now(),
             draining: AtomicBool::new(false),
             connections: Mutex::new(0),
@@ -494,7 +483,12 @@ fn dispatch(
             200,
             Json::obj([(
                 "artifacts",
-                Json::Arr(api::ARTIFACT_NAMES.iter().map(|n| Json::str(*n)).collect()),
+                Json::Arr(
+                    Artifact::VARIANTS
+                        .iter()
+                        .map(|a| Json::str(a.name()))
+                        .collect(),
+                ),
             )])
             .dump(),
         )),
@@ -525,7 +519,7 @@ fn dispatch(
 
     // Queued endpoints: validate inline (cheap, shed bad input before it
     // costs a queue slot), then hand the measurement to a worker.
-    let job: MeasurementJob = match build_job(state, req) {
+    let job: MeasurementJob = match build_job(req) {
         Ok(job) => job,
         Err(e) => {
             let ok = write_response_conn(
@@ -548,12 +542,14 @@ fn dispatch(
         // Streamed responses are `Connection: close` by construction.
         false
     } else {
-        let mut resp = run_queued(state, job)
-            .into_response()
-            .with_header("X-Request-Id", rid.to_string());
-        if resp.status == 503 {
-            resp = resp.with_header("Retry-After", "1".to_string());
+        let resp = match submit(state, job) {
+            Ok(rx) => rx
+                .recv_timeout(state.request_timeout)
+                .unwrap_or_else(wait_failure)
+                .into_response(),
+            Err(shed) => shed,
         }
+        .with_header("X-Request-Id", rid.to_string());
         let status = resp.status;
         let ok = write_response_conn(writer, &resp, keep).is_ok();
         state.metrics.observe(endpoint, status, t0.elapsed());
@@ -574,7 +570,7 @@ fn wants_prometheus(req: &Request) -> bool {
 }
 
 /// Parse + validate one queued request into its worker-side job.
-fn build_job(state: &Arc<ServeState>, req: &Request) -> Result<MeasurementJob, ApiError> {
+fn build_job(req: &Request) -> Result<MeasurementJob, ApiError> {
     match (req.method.as_str(), req.path.as_str()) {
         // In coordinator mode each job first fans its unit matrix out to
         // the workers (shared-cache side effects), then renders locally
@@ -608,14 +604,11 @@ fn build_job(state: &Arc<ServeState>, req: &Request) -> Result<MeasurementJob, A
             }))
         }
         ("GET", path) => {
-            let name = path
-                .strip_prefix("/v1/artifacts/")
-                .unwrap_or_default()
-                .to_string();
+            // Without `reps`, the paper's three repetitions: the bodies
+            // then match `repro` and the goldens.
             let reps = match req.query_param("reps") {
-                None => state.default_artifact_reps,
+                None | Some("3") => 3,
                 Some("1") => 1,
-                Some("3") => 3,
                 Some(other) => {
                     return Err(ApiError::new(
                         400,
@@ -625,84 +618,69 @@ fn build_job(state: &Arc<ServeState>, req: &Request) -> Result<MeasurementJob, A
                 }
             };
             // Reject unknown names before spending a queue slot.
-            if !api::ARTIFACT_NAMES.contains(&name.as_str()) {
-                return Err(ApiError::new(
-                    404,
-                    "unknown_artifact",
-                    format!("no artifact {name:?}; one of {:?}", api::ARTIFACT_NAMES),
-                ));
-            }
+            let artifact =
+                api::lookup_artifact(path.strip_prefix("/v1/artifacts/").unwrap_or_default())?;
             Ok(Box::new(move |st: &ServeState| {
                 if let Some(d) = &st.dispatch {
-                    d.execute(&api::artifact_units(&name, reps), &st.campaign);
+                    d.execute(&api::artifact_units(artifact, reps), &st.campaign);
                 }
-                match api::artifact_text(&st.campaign, &name, reps) {
-                    Ok(text) => JobReply::Text(200, text),
-                    Err(e) => api_error_reply(&e),
-                }
+                JobReply::Text(200, api::artifact_text(&st.campaign, artifact, reps))
             }))
         }
         _ => unreachable!("dispatch routes only queued endpoints here"),
     }
 }
 
-/// Submit a job and block for its reply (or shed/timeout).
-fn run_queued(state: &Arc<ServeState>, job: MeasurementJob) -> JobReply {
+/// Admit a job to the queue. The receiver yields its reply; a shed job
+/// (queue full, or draining) gets its `503` response with `Retry-After`.
+fn submit(
+    state: &Arc<ServeState>,
+    job: MeasurementJob,
+) -> Result<mpsc::Receiver<JobReply>, Response> {
     let (tx, rx) = mpsc::sync_channel::<JobReply>(1);
     let st = Arc::clone(state);
-    match state.queue.submit(move || {
+    let shed = match state.queue.submit(move || {
         let _ = tx.send(job(&st));
     }) {
-        Err(SubmitError::Full) => {
-            return JobReply::Json(
-                503,
-                ApiError::new(
-                    503,
-                    "queue_full",
-                    format!(
-                        "job queue at capacity ({}); retry shortly",
-                        state.queue.capacity()
-                    ),
-                )
-                .body(),
-            )
-        }
+        Ok(()) => return Ok(rx),
+        Err(SubmitError::Full) => ApiError::new(
+            503,
+            "queue_full",
+            format!(
+                "job queue at capacity ({}); retry shortly",
+                state.queue.capacity()
+            ),
+        ),
         Err(SubmitError::Closed) => {
-            return JobReply::Json(
-                503,
-                ApiError::new(503, "draining", "server is draining for shutdown").body(),
-            )
+            ApiError::new(503, "draining", "server is draining for shutdown")
         }
-        Ok(()) => {}
-    }
-    match rx.recv_timeout(state.request_timeout) {
-        Ok(reply) => reply,
-        Err(mpsc::RecvTimeoutError::Timeout) => JobReply::Json(
-            504,
-            ApiError::new(
-                504,
-                "deadline_exceeded",
-                "the job exceeded the request timeout; it keeps running and its \
-                 result will be served from cache on retry",
-            )
-            .body(),
-        ),
-        // The worker caught a panic in this job; its sender is gone.
-        Err(mpsc::RecvTimeoutError::Disconnected) => JobReply::Json(
-            500,
-            ApiError::new(500, "internal", "the job failed unexpectedly").body(),
-        ),
-    }
+    };
+    Err(Response::json(503, shed.body().dump()).with_header("Retry-After", "1".to_string()))
 }
 
-/// The HTTP status `run_streaming` reports to metrics for a shed request.
-fn shed_status(reply: &JobReply) -> u16 {
-    reply.status()
+/// The reply that stands in for an admitted job's own when the wait for
+/// it fails: `504` past the request timeout, `500` if the job panicked.
+fn wait_failure(e: mpsc::RecvTimeoutError) -> JobReply {
+    let err = match e {
+        // The job keeps running; its result lands in the cache.
+        mpsc::RecvTimeoutError::Timeout => ApiError::new(
+            504,
+            "deadline_exceeded",
+            "the job exceeded the request timeout; it keeps running and its \
+             result will be served from cache on retry",
+        ),
+        // The worker caught a panic in this job; its sender is gone.
+        mpsc::RecvTimeoutError::Disconnected => {
+            ApiError::new(500, "internal", "the job failed unexpectedly")
+        }
+    };
+    api_error_reply(&err)
 }
 
 /// Streamed execution: a `200` chunked NDJSON response carrying
 /// `progress` lines (campaign-global `CampaignProgress` events) and one
-/// terminal `result` line. Returns the status recorded in metrics.
+/// terminal `result` line. A shed job gets the plain request's `503`
+/// instead. Returns the status recorded in metrics.
 fn run_streaming(
     state: &Arc<ServeState>,
     job: MeasurementJob,
@@ -713,43 +691,13 @@ fn run_streaming(
     let sub = state
         .fanout
         .subscribe_filtered(|e| matches!(e, Event::CampaignProgress { .. }));
-    let (tx, rx) = mpsc::sync_channel::<JobReply>(1);
-    let st = Arc::clone(state);
-    match state.queue.submit(move || {
-        let _ = tx.send(job(&st));
-    }) {
-        Err(SubmitError::Full) => {
-            let reply = JobReply::Json(
-                503,
-                ApiError::new(503, "queue_full", "job queue at capacity; retry shortly").body(),
-            );
-            let status = shed_status(&reply);
-            let _ = write_response(
-                writer,
-                &reply
-                    .into_response()
-                    .with_header("Retry-After", "1".to_string())
-                    .with_header("X-Request-Id", rid.to_string()),
-            );
-            return status;
+    let rx = match submit(state, job) {
+        Ok(rx) => rx,
+        Err(shed) => {
+            let _ = write_response(writer, &shed.with_header("X-Request-Id", rid.to_string()));
+            return 503;
         }
-        Err(SubmitError::Closed) => {
-            let reply = JobReply::Json(
-                503,
-                ApiError::new(503, "draining", "server is draining for shutdown").body(),
-            );
-            let status = shed_status(&reply);
-            let _ = write_response(
-                writer,
-                &reply
-                    .into_response()
-                    .with_header("Retry-After", "5".to_string())
-                    .with_header("X-Request-Id", rid.to_string()),
-            );
-            return status;
-        }
-        Ok(()) => {}
-    }
+    };
 
     let mut chunked = match ChunkedResponse::start(
         writer,
@@ -760,70 +708,42 @@ fn run_streaming(
         Ok(c) => c,
         Err(_) => return 200, // client went away; job still completes + caches
     };
+    // Forward whatever progress queued up; false once the client hung up
+    // (the job still finishes for the cache).
+    let forward_progress = |chunked: &mut ChunkedResponse<_>| {
+        sub.try_iter().all(|ev| {
+            let Event::CampaignProgress { done, total, .. } = ev else {
+                return true;
+            };
+            let line = Json::obj([
+                ("event", Json::str("progress")),
+                ("id", Json::str(rid)),
+                ("done", Json::num(done as f64)),
+                ("total", Json::num(total as f64)),
+            ])
+            .dump();
+            chunked.chunk(format!("{line}\n").as_bytes()).is_ok()
+        })
+    };
     let deadline = Instant::now() + state.request_timeout;
-    let final_line = loop {
-        // Forward whatever progress queued up.
-        for ev in sub.try_iter() {
-            if let Event::CampaignProgress { done, total, .. } = ev {
-                let line = Json::obj([
-                    ("event", Json::str("progress")),
-                    ("id", Json::str(rid)),
-                    ("done", Json::num(done as f64)),
-                    ("total", Json::num(total as f64)),
-                ])
-                .dump();
-                if chunked.chunk(format!("{line}\n").as_bytes()).is_err() {
-                    // Client hung up; let the job finish for the cache.
-                    return 200;
-                }
-            }
+    let reply = loop {
+        if !forward_progress(&mut chunked) {
+            return 200;
         }
         match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(reply) => {
-                // Drain progress that raced the result (a fast job can
+            Err(mpsc::RecvTimeoutError::Timeout) if Instant::now() < deadline => {}
+            done => {
+                // Forward progress that raced the result (a fast job can
                 // finish inside the first recv window) so the stream still
                 // shows its progress lines before the terminal `result`.
-                for ev in sub.try_iter() {
-                    if let Event::CampaignProgress { done, total, .. } = ev {
-                        let line = Json::obj([
-                            ("event", Json::str("progress")),
-                            ("id", Json::str(rid)),
-                            ("done", Json::num(done as f64)),
-                            ("total", Json::num(total as f64)),
-                        ])
-                        .dump();
-                        if chunked.chunk(format!("{line}\n").as_bytes()).is_err() {
-                            return 200;
-                        }
-                    }
+                if !forward_progress(&mut chunked) {
+                    return 200;
                 }
-                break reply.into_stream_line(rid);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if Instant::now() >= deadline {
-                    break JobReply::Json(
-                        504,
-                        ApiError::new(
-                            504,
-                            "deadline_exceeded",
-                            "the job exceeded the request timeout; it keeps running \
-                             and its result will be served from cache on retry",
-                        )
-                        .body(),
-                    )
-                    .into_stream_line(rid);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break JobReply::Json(
-                    500,
-                    ApiError::new(500, "internal", "the job failed unexpectedly").body(),
-                )
-                .into_stream_line(rid);
+                break done.unwrap_or_else(wait_failure);
             }
         }
     };
-    let _ = chunked.chunk(format!("{final_line}\n").as_bytes());
+    let _ = chunked.chunk(format!("{}\n", reply.into_stream_line(rid)).as_bytes());
     let _ = chunked.finish();
     200
 }

@@ -72,7 +72,6 @@ fn worker_config(cache: &Path) -> ServerConfig {
         workers: 4,
         queue_capacity: 32,
         cache_dir: Some(cache.to_path_buf()),
-        default_artifact_reps: 1,
         request_timeout: Duration::from_secs(120),
         ..ServerConfig::default()
     }

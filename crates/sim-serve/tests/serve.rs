@@ -159,7 +159,6 @@ fn quick_config() -> ServerConfig {
         workers: 4,
         queue_capacity: 32,
         cache_dir: None,
-        default_artifact_reps: 1,
         request_timeout: Duration::from_secs(120),
         ..ServerConfig::default()
     }
@@ -303,7 +302,7 @@ fn cached_measurement_error_round_trips_as_stable_422() {
 fn artifact_bodies_match_repro_rendering_bytes() {
     let _guard = serial();
     let mut srv = TestServer::boot(quick_config());
-    let t1 = request(srv.addr, "GET", "/v1/artifacts/table1", None);
+    let t1 = request(srv.addr, "GET", "/v1/artifacts/table1?reps=1", None);
     assert_eq!(t1.status, 200);
     assert_eq!(t1.header("content-type"), Some("text/plain; charset=utf-8"));
     assert_eq!(
@@ -311,7 +310,7 @@ fn artifact_bodies_match_repro_rendering_bytes() {
         format!("{}\n", render_table1(&table1())).into_bytes()
     );
 
-    let f1 = request(srv.addr, "GET", "/v1/artifacts/fig1", None);
+    let f1 = request(srv.addr, "GET", "/v1/artifacts/fig1?reps=1", None);
     assert_eq!(f1.status, 200);
     assert_eq!(
         f1.body,
@@ -342,7 +341,12 @@ fn energy_artifacts_match_repro_rendering_bytes() {
     let mut srv = TestServer::boot(quick_config());
 
     let local = Campaign::in_memory();
-    let eb = request(srv.addr, "GET", "/v1/artifacts/energy-breakdown", None);
+    let eb = request(
+        srv.addr,
+        "GET",
+        "/v1/artifacts/energy-breakdown?reps=1",
+        None,
+    );
     assert_eq!(eb.status, 200);
     assert_eq!(
         eb.body,
@@ -352,7 +356,12 @@ fn energy_artifacts_match_repro_rendering_bytes() {
         )
         .into_bytes()
     );
-    let se = request(srv.addr, "GET", "/v1/artifacts/energy-sampling-error", None);
+    let se = request(
+        srv.addr,
+        "GET",
+        "/v1/artifacts/energy-sampling-error?reps=1",
+        None,
+    );
     assert_eq!(se.status, 200);
     assert_eq!(
         se.body,
@@ -405,7 +414,12 @@ fn static_analysis_artifact_matches_repro_rendering_bytes() {
     let mut srv = TestServer::boot(quick_config());
 
     let local = Campaign::in_memory();
-    let sa = request(srv.addr, "GET", "/v1/artifacts/static-analysis", None);
+    let sa = request(
+        srv.addr,
+        "GET",
+        "/v1/artifacts/static-analysis?reps=1",
+        None,
+    );
     assert_eq!(sa.status, 200);
     assert_eq!(
         sa.body,
@@ -479,6 +493,37 @@ fn metrics_content_negotiation_and_request_ids() {
     srv.stop();
 }
 
+/// Occupy the single worker of a one-worker, one-slot server with a cold
+/// three-rep run, then fill the queue slot with a second, distinct one:
+/// every further measurement is shed until they finish. Returns both
+/// requests' threads.
+fn saturate(srv: &TestServer) -> [std::thread::JoinHandle<Reply>; 2] {
+    let addr = srv.addr;
+    let first = std::thread::spawn(move || {
+        request(
+            addr,
+            "POST",
+            "/v1/runs",
+            Some(r#"{"workload": "mst", "reps": 3}"#),
+        )
+    });
+    wait_until(srv, |s| {
+        s.get("queue").unwrap().get("active").unwrap().as_u64() == Some(1)
+    });
+    let second = std::thread::spawn(move || {
+        request(
+            addr,
+            "POST",
+            "/v1/runs",
+            Some(r#"{"workload": "nw", "reps": 3}"#),
+        )
+    });
+    wait_until(srv, |s| {
+        s.get("queue").unwrap().get("depth").unwrap().as_u64() == Some(1)
+    });
+    [first, second]
+}
+
 /// With one worker and a one-slot queue, a third concurrent measurement is
 /// shed with `503` + `Retry-After` while the first two are still admitted.
 #[test]
@@ -490,31 +535,8 @@ fn full_queue_sheds_load_with_retry_after() {
         ..quick_config()
     });
     let addr = srv.addr;
-    // Occupy the single worker with a cold three-rep run...
-    let first = std::thread::spawn(move || {
-        request(
-            addr,
-            "POST",
-            "/v1/runs",
-            Some(r#"{"workload": "mst", "reps": 3}"#),
-        )
-    });
-    wait_until(&srv, |s| {
-        s.get("queue").unwrap().get("active").unwrap().as_u64() == Some(1)
-    });
-    // ...fill the single queue slot with a second, distinct run...
-    let second = std::thread::spawn(move || {
-        request(
-            addr,
-            "POST",
-            "/v1/runs",
-            Some(r#"{"workload": "nw", "reps": 3}"#),
-        )
-    });
-    wait_until(&srv, |s| {
-        s.get("queue").unwrap().get("depth").unwrap().as_u64() == Some(1)
-    });
-    // ...and the third admission is rejected immediately.
+    let admitted = saturate(&srv);
+    // The third admission is rejected immediately.
     let shed = request(addr, "POST", "/v1/runs", Some(r#"{"workload": "nn"}"#));
     assert_eq!(shed.status, 503);
     assert_eq!(shed.header("retry-after"), Some("1"));
@@ -528,8 +550,50 @@ fn full_queue_sheds_load_with_retry_after() {
         Some("queue_full")
     );
     // The admitted pair still completes normally.
-    assert_eq!(first.join().unwrap().status, 200);
-    assert_eq!(second.join().unwrap().status, 200);
+    for h in admitted {
+        assert_eq!(h.join().unwrap().status, 200);
+    }
+    srv.stop();
+}
+
+/// A streamed request shed on a full queue gets exactly the plain
+/// request's answer: the same `503` status and body (code and message)
+/// and the same `Retry-After`, as a fixed response rather than a stream.
+#[test]
+fn streamed_request_shed_on_a_full_queue_matches_a_plain_one() {
+    let _guard = serial();
+    let mut srv = TestServer::boot(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..quick_config()
+    });
+    let addr = srv.addr;
+    let admitted = saturate(&srv);
+    let plain = request(addr, "POST", "/v1/runs", Some(r#"{"workload": "nn"}"#));
+    let streamed = request(
+        addr,
+        "POST",
+        "/v1/runs?stream=1",
+        Some(r#"{"workload": "nn"}"#),
+    );
+    assert_eq!(plain.status, 503);
+    assert_eq!(streamed.status, plain.status);
+    assert_eq!(streamed.header("retry-after"), Some("1"));
+    assert_eq!(streamed.header("transfer-encoding"), None);
+    assert_eq!(streamed.body, plain.body);
+    assert_eq!(
+        streamed
+            .json()
+            .get("error")
+            .unwrap()
+            .get("code")
+            .unwrap()
+            .as_str(),
+        Some("queue_full")
+    );
+    for h in admitted {
+        assert_eq!(h.join().unwrap().status, 200);
+    }
     srv.stop();
 }
 
@@ -572,30 +636,7 @@ fn healthz_and_metrics_bypass_a_saturated_queue() {
         ..quick_config()
     });
     let addr = srv.addr;
-    // Occupy the single worker...
-    let first = std::thread::spawn(move || {
-        request(
-            addr,
-            "POST",
-            "/v1/runs",
-            Some(r#"{"workload": "mst", "reps": 3}"#),
-        )
-    });
-    wait_until(&srv, |s| {
-        s.get("queue").unwrap().get("active").unwrap().as_u64() == Some(1)
-    });
-    // ...and fill the single queue slot.
-    let second = std::thread::spawn(move || {
-        request(
-            addr,
-            "POST",
-            "/v1/runs",
-            Some(r#"{"workload": "nw", "reps": 3}"#),
-        )
-    });
-    wait_until(&srv, |s| {
-        s.get("queue").unwrap().get("depth").unwrap().as_u64() == Some(1)
-    });
+    let admitted = saturate(&srv);
     // Both inline endpoints answer promptly while measurements would shed.
     let t0 = Instant::now();
     let h = request(addr, "GET", "/healthz", None);
@@ -611,8 +652,9 @@ fn healthz_and_metrics_bypass_a_saturated_queue() {
         t0.elapsed() < Duration::from_secs(10),
         "inline endpoints must not wait behind the queue"
     );
-    assert_eq!(first.join().unwrap().status, 200);
-    assert_eq!(second.join().unwrap().status, 200);
+    for h in admitted {
+        assert_eq!(h.join().unwrap().status, 200);
+    }
     srv.stop();
 }
 
