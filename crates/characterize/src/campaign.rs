@@ -20,7 +20,8 @@
 //!   model) records its launch trace into the campaign's trace DB
 //!   ([`crate::tracedb`], in memory unless a trace directory is given), and
 //!   every later configuration, rep and sweep point of it re-simulates
-//!   timing and power from that trace, without functional execution;
+//!   timing and power from that trace, without functional execution — one
+//!   that arrives while the trace is being recorded waits for it;
 //! * **persists** — each unit is written to a content-addressed on-disk
 //!   cache keyed by `(workload key, input, config, rep, seed, sim-version
 //!   fingerprint)` in a versioned plain-text record. Corrupt or truncated
@@ -33,12 +34,12 @@
 
 use crate::configs::GpuConfigKind;
 use crate::experiment::{
-    combine_median3, measure_from_trace, measure_with_device_config_recording, run_seed,
+    combine_median3, measure_from_trace, measure_recording, measure_with_device_config, run_seed,
     Measurement, MedianMeasurement,
 };
 use crate::tracedb::{trace_key, StoredTrace, TraceDb, TraceUsage};
 use gpower::{PowerError, Reading};
-use kepler_sim::{fnv1a64, ClockConfig, DeviceConfig, KernelCounters};
+use kepler_sim::{fnv1a64, ClockConfig, DeviceConfig, KernelCounters, TraceRecorder};
 use rayon::prelude::*;
 use sim_telemetry::{Event, TelemetrySink};
 use std::collections::{HashMap, HashSet};
@@ -301,8 +302,10 @@ pub struct CampaignStats {
     /// On-disk records rejected as corrupt/truncated (each forced a
     /// re-run).
     pub disk_corrupt: u64,
-    /// Units being simulated *right now* (concurrent duplicate requests
-    /// waiting on one of them are not counted — they hold no simulation).
+    /// Units being resolved past the record caches *right now*:
+    /// simulating, replaying, or waiting for their program's trace to be
+    /// recorded. Concurrent duplicate requests waiting on one of them are
+    /// not counted.
     pub in_flight: u64,
     /// Memoized units whose cached outcome is a measurement *error* (the
     /// paper's too-fast-to-measure exclusions, served as first-class
@@ -371,6 +374,18 @@ pub struct CampaignConfig {
 struct CampaignState {
     memo: HashMap<String, Result<Measurement, PowerError>>,
     inflight: HashSet<String>,
+    /// Trace keys a functional run is recording right now
+    /// ([`RecordingClaim`]); other units of the key wait for its trace.
+    recording: HashSet<String>,
+    /// Trace keys whose recording turned ineligible. Every launch before a
+    /// program's first irregular one is deterministic, so that depends only
+    /// on (program, input, memory model): these units simulate without a
+    /// claim for the campaign's lifetime.
+    unrecordable: HashSet<String>,
+    /// Recordings that stored a trace. A unit that missed the trace DB
+    /// claims a key only while this is unchanged, so a trace stored between
+    /// its miss and its claim is loaded, not recorded twice.
+    recorded: u64,
     /// Memo entries holding an `Err` (maintained at insertion so
     /// [`Campaign::stats`] never scans the memo).
     cached_errors: u64,
@@ -407,12 +422,64 @@ impl Drop for InFlight<'_> {
     }
 }
 
+/// Ownership of one trace key being recorded. Dropping it, however the
+/// recording ends (stored, not stored, or panicked), releases the key and
+/// wakes the units waiting on it; the recorder's ineligibility hook
+/// ([`RecordingClaim::recorder`]) releases it earlier, at the run's first
+/// irregular launch.
+struct RecordingClaim {
+    state: Arc<Mutex<CampaignState>>,
+    done: Arc<Condvar>,
+    tkey: String,
+    /// Whether the recording stored a trace, which the waiters then load.
+    stored: bool,
+}
+
+impl RecordingClaim {
+    /// A recorder whose first ineligible launch releases the claim and
+    /// marks the key never recordable, so the units waiting on it simulate
+    /// at once rather than after the whole run.
+    fn recorder(&self) -> TraceRecorder {
+        let (state, done, tkey) = (self.state.clone(), self.done.clone(), self.tkey.clone());
+        TraceRecorder::with_ineligible_hook(move || {
+            let mut g = state.lock().unwrap_or_else(|e| e.into_inner());
+            g.recording.remove(&tkey);
+            g.unrecordable.insert(tkey);
+            drop(g);
+            done.notify_all();
+        })
+    }
+}
+
+impl Drop for RecordingClaim {
+    fn drop(&mut self) {
+        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        g.recording.remove(&self.tkey);
+        if self.stored {
+            g.recorded += 1;
+        }
+        drop(g);
+        self.done.notify_all();
+    }
+}
+
+/// How a unit that missed the record caches is measured
+/// ([`Campaign::source`]).
+enum Source {
+    /// Replay its program's stored trace.
+    Replay(Arc<StoredTrace>),
+    /// Simulate, recording the trace under this claim.
+    Record(RecordingClaim),
+    /// Simulate a program that can never record its trace.
+    Simulate,
+}
+
 /// The launch trace shared by the units of one [`Campaign::sweep`]. Sweep
 /// points differ only in clocks, so they share one trace identity (the
 /// memory model is the same at every point) and one decoded trace serves
-/// them all. Only a successful load is kept: a miss or a defective trace
-/// is retried by the next unit, which finds the trace the first unit's
-/// functional run recorded.
+/// them all. Only a successful load is kept: on a cold sweep the first
+/// point to miss records the trace, and the others wait for it and then
+/// load it here.
 #[derive(Default)]
 struct SweepTrace(Mutex<Option<Arc<StoredTrace>>>);
 
@@ -434,8 +501,9 @@ pub struct Campaign {
     telemetry: Option<Arc<dyn TelemetrySink>>,
     fingerprint: u64,
     started: Instant,
-    state: Mutex<CampaignState>,
-    done: Condvar,
+    /// Shared with the ineligibility hooks of running recordings.
+    state: Arc<Mutex<CampaignState>>,
+    done: Arc<Condvar>,
     trace_db: TraceDb,
     simulated: AtomicU64,
     memo_hits: AtomicU64,
@@ -452,8 +520,8 @@ impl Campaign {
             telemetry: cfg.telemetry,
             fingerprint: sim_fingerprint(),
             started: Instant::now(),
-            state: Mutex::new(CampaignState::default()),
-            done: Condvar::new(),
+            state: Arc::default(),
+            done: Arc::default(),
             trace_db: match cfg.trace_dir {
                 Some(dir) => TraceDb::new(dir, sim_fingerprint()),
                 None => TraceDb::in_memory(sim_fingerprint()),
@@ -558,9 +626,11 @@ impl Campaign {
     }
 
     /// One unit of the matrix, memoized: serve from the in-process memo,
-    /// else from disk, else replay the program's recorded trace, else
-    /// simulate (exactly once per process — a second concurrent request
-    /// for the same unit waits for the first).
+    /// else from disk, else replay the program's recorded trace, else wait
+    /// for another unit of the program that is recording it and replay,
+    /// else simulate. A unit simulates at most once per process (a second
+    /// concurrent request for it waits for the first), and a program
+    /// simulates once per memory model unless it cannot be recorded.
     pub fn run(
         &self,
         bench: &dyn Benchmark,
@@ -619,10 +689,10 @@ impl Campaign {
     }
 
     /// Resolve one unit under an explicit device configuration: memo ->
-    /// disk -> **trace replay** -> simulate, recording the functional run's
-    /// trace (when every launch was recordable) for the units after it.
-    /// The trace comes from `trace` when an earlier unit of the same sweep
-    /// already loaded it.
+    /// disk -> **trace replay** -> wait for a recording -> simulate,
+    /// recording the functional run's trace (when every launch was
+    /// recordable) for the units after it. The trace comes from `trace`
+    /// when an earlier unit of the same sweep already loaded it.
     fn resolve_unit(
         &self,
         ckey: String,
@@ -632,23 +702,59 @@ impl Campaign {
         rep: u64,
         trace: &SweepTrace,
     ) -> Result<Measurement, PowerError> {
-        let key = bench.spec().key;
-        let tkey = || Self::unit_trace_key(bench, input, &cfg);
-        self.resolve(
-            ckey,
-            || {
-                let (res, stored) =
-                    measure_with_device_config_recording(bench, input, cfg.clone(), rep);
-                if let Some(st) = stored {
-                    self.trace_db.store(&tkey(), &st);
+        self.resolve(ckey, || {
+            let tkey = Self::unit_trace_key(bench, input, &cfg);
+            let res = match self.source(&tkey, trace) {
+                Source::Replay(st) => {
+                    let res = measure_from_trace(bench.spec().key, input, cfg, rep, &st);
+                    self.trace_replays.fetch_add(1, Ordering::Relaxed);
+                    return res;
                 }
-                res
-            },
-            || {
-                let st = trace.load(&self.trace_db, &tkey())?;
-                Some(measure_from_trace(key, input, cfg.clone(), rep, &st))
-            },
-        )
+                Source::Record(mut claim) => {
+                    let (res, stored) = measure_recording(bench, input, cfg, rep, claim.recorder());
+                    if let Some(st) = stored {
+                        self.trace_db.store(&tkey, &st);
+                        claim.stored = true;
+                    }
+                    res
+                }
+                Source::Simulate => measure_with_device_config(bench, input, cfg, rep),
+            };
+            self.simulated.fetch_add(1, Ordering::Relaxed);
+            res
+        })
+    }
+
+    /// How a unit of trace key `tkey` that missed the record caches is
+    /// measured: replay the stored trace; else, while another unit records
+    /// it, wait and look again; else claim the key and record it, unless
+    /// the key is known never to record.
+    fn source(&self, tkey: &str, trace: &SweepTrace) -> Source {
+        // `recorded` as of this unit's last trace-DB miss.
+        let mut missed_at = None;
+        loop {
+            let mut g = self.state.lock().expect("campaign state poisoned");
+            while g.recording.contains(tkey) {
+                g = self.done.wait(g).expect("campaign state poisoned");
+            }
+            if g.unrecordable.contains(tkey) {
+                return Source::Simulate;
+            }
+            if missed_at == Some(g.recorded) {
+                g.recording.insert(tkey.to_string());
+                return Source::Record(RecordingClaim {
+                    state: self.state.clone(),
+                    done: self.done.clone(),
+                    tkey: tkey.to_string(),
+                    stored: false,
+                });
+            }
+            missed_at = Some(g.recorded);
+            drop(g);
+            if let Some(st) = trace.load(&self.trace_db, tkey) {
+                return Source::Replay(st);
+            }
+        }
     }
 
     /// A sweep-point reading at the requested repetition count, mirroring
@@ -704,17 +810,15 @@ impl Campaign {
             .collect()
     }
 
-    /// The shared memo/disk/replay/simulate resolution path behind [`run`]
-    /// and [`run_sweep_point`]. `replay` is tried after both record caches
-    /// miss and before `simulate`; when it yields a result the unit counts
-    /// as a trace replay, not a simulation, but is persisted and memoized
-    /// identically (so a replayed unit warms the v2 record cache with a
-    /// record bit-identical to a live run's).
+    /// The record-cache half of [`Campaign::resolve_unit`]: memo, in-flight
+    /// wait, disk. When both record caches miss, `measure` runs (replaying
+    /// or simulating) and its outcome is persisted and memoized the same
+    /// way either way, so a replayed unit warms the record cache with a
+    /// record bit-identical to a live run's.
     fn resolve(
         &self,
         ckey: String,
-        simulate: impl FnOnce() -> Result<Measurement, PowerError>,
-        replay: impl FnOnce() -> Option<Result<Measurement, PowerError>>,
+        measure: impl FnOnce() -> Result<Measurement, PowerError>,
     ) -> Result<Measurement, PowerError> {
         {
             let mut g = self.state.lock().unwrap();
@@ -756,20 +860,8 @@ impl Campaign {
                 key: &ckey,
             };
             // Replay or simulate outside the lock so the pool keeps
-            // stealing work. A trace replay re-simulates timing/power from
-            // the recorded launch stream — no functional execution — and is
-            // counted apart.
-            let res = match replay() {
-                Some(res) => {
-                    self.trace_replays.fetch_add(1, Ordering::Relaxed);
-                    res
-                }
-                None => {
-                    let res = simulate();
-                    self.simulated.fetch_add(1, Ordering::Relaxed);
-                    res
-                }
-            };
+            // stealing work.
+            let res = measure();
             self.store_record(&ckey, &res);
             let mut g = self.state.lock().expect("campaign state poisoned");
             g.memoize(ckey.clone(), res.clone());
@@ -853,12 +945,12 @@ impl Campaign {
     }
 
     /// Load one record, verifying fingerprint and full key. Any failure is
-    /// a miss: stale and corrupt entries bump their counters and will be
-    /// overwritten by the re-run's store.
+    /// a miss: stale and corrupt (including non-UTF-8) entries bump their
+    /// counters and will be overwritten by the re-run's store.
     fn load_record(&self, ckey: &str) -> Option<Result<Measurement, PowerError>> {
         let path = self.record_path(ckey)?;
-        let body = std::fs::read_to_string(&path).ok()?;
-        match parse_record(&body) {
+        let body = std::fs::read(&path).ok()?;
+        match std::str::from_utf8(&body).ok().and_then(parse_record) {
             Some((fp, key, res)) => {
                 if key != ckey {
                     // Hash collision or hand-edited file: treat as absent.
@@ -1125,8 +1217,12 @@ pub fn purge_cache(dir: &Path) -> std::io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{measure_median3, measure_with_device_config};
+    use crate::experiment::measure_median3;
+    use proptest::prelude::*;
+    use proptest::TestRng;
     use std::sync::atomic::AtomicU32;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     static TEST_DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -1272,6 +1368,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A record that is not UTF-8 is corrupt, not a silent miss: counted,
+    /// re-run, and overwritten by the re-run's store.
+    #[test]
+    fn a_non_utf8_record_counts_as_corrupt() {
+        let _serial = crate::serial();
+        let dir = scratch_dir("non-utf8");
+        let b = registry::by_key("sten").unwrap();
+        let input = &b.inputs()[0];
+        let m1 = disk_campaign(&dir)
+            .run(b.as_ref(), input, GpuConfigKind::Default, 0)
+            .unwrap();
+        let files: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 1);
+        let mut body = std::fs::read(&files[0]).unwrap();
+        body[RECORD_MAGIC.len() + 1] = 0xFF;
+        std::fs::write(&files[0], &body).unwrap();
+        let c2 = disk_campaign(&dir);
+        let m2 = c2
+            .run(b.as_ref(), input, GpuConfigKind::Default, 0)
+            .unwrap();
+        let s = c2.stats();
+        assert_eq!((s.simulated, s.disk_hits, s.disk_corrupt), (1, 0, 1), "{s}");
+        assert!(readings_bit_identical(&m1.reading, &m2.reading));
+        let c3 = disk_campaign(&dir);
+        c3.run(b.as_ref(), input, GpuConfigKind::Default, 0)
+            .unwrap();
+        assert_eq!(c3.stats().disk_hits, 1, "the re-run healed the record");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn measurement_errors_are_cached_too() {
         let _serial = crate::serial();
@@ -1388,10 +1517,10 @@ mod tests {
         }
     }
 
-    fn run_panics(c: &Campaign) -> bool {
+    fn run_panics(c: &Campaign, config: GpuConfigKind) -> bool {
         let input = &Panics.inputs()[0];
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.run(&Panics, input, GpuConfigKind::Default, 0)
+            c.run(&Panics, input, config, 0)
         }))
         .is_err()
     }
@@ -1400,16 +1529,212 @@ mod tests {
     fn a_panicking_unit_releases_its_key() {
         let _serial = crate::serial();
         let c = Arc::new(Campaign::in_memory());
-        assert!(run_panics(&c), "the unit panics");
+        assert!(run_panics(&c, GpuConfigKind::Default), "the unit panics");
         // The same unit again, on another thread: it must run (and panic)
         // rather than wait forever for the first call's result.
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         let again = c.clone();
-        let retry = std::thread::spawn(move || tx.send(run_panics(&again)));
-        let retried = rx.recv_timeout(std::time::Duration::from_secs(10));
+        let retry = std::thread::spawn(move || tx.send(run_panics(&again, GpuConfigKind::Default)));
+        let retried = rx.recv_timeout(Duration::from_secs(10));
         assert_eq!(retried, Ok(true), "the retry waited on a dead key");
         retry.join().expect("retry thread").expect("result sent");
         assert_eq!(c.stats().in_flight, 0, "both panics released the key");
+    }
+
+    /// A panicking recording releases its trace key: the program at a
+    /// second configuration, on another thread, runs (and panics) rather
+    /// than wait forever for a trace that will never be stored.
+    #[test]
+    fn a_panicking_recording_releases_its_trace_key() {
+        let _serial = crate::serial();
+        let c = Arc::new(Campaign::in_memory());
+        assert!(run_panics(&c, GpuConfigKind::Default), "the unit panics");
+        let (tx, rx) = mpsc::channel();
+        let other = c.clone();
+        let run = std::thread::spawn(move || tx.send(run_panics(&other, GpuConfigKind::C614)));
+        let ran = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            ran,
+            Ok(true),
+            "the second configuration waited on a dead recording"
+        );
+        run.join().expect("run thread").expect("result sent");
+        let g = c.state.lock().unwrap();
+        assert!(g.recording.is_empty() && g.unrecordable.is_empty());
+    }
+
+    /// Poll `cond` for up to 10 s; whether it came true.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    /// A unit resolving on a thread of its own.
+    struct Pending {
+        rx: mpsc::Receiver<Result<Measurement, PowerError>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Pending {
+        /// Resolve `bench`'s first input at `config`.
+        fn start(c: &Arc<Campaign>, bench: &Arc<dyn Benchmark>, config: GpuConfigKind) -> Self {
+            let (c, bench) = (c.clone(), bench.clone());
+            let (tx, rx) = mpsc::channel();
+            let thread = std::thread::spawn(move || {
+                let input = &bench.inputs()[0];
+                let _ = tx.send(c.run(bench.as_ref(), input, config, 0));
+            });
+            Self { rx, thread }
+        }
+
+        /// The unit's outcome, or `None` if it takes more than 10 s.
+        fn outcome(self) -> Option<Result<Measurement, PowerError>> {
+            let res = self.rx.recv_timeout(Duration::from_secs(10)).ok()?;
+            self.thread.join().expect("unit thread");
+            Some(res)
+        }
+    }
+
+    /// A registry program whose functional runs first call `gate`.
+    struct Gated<F> {
+        inner: Box<dyn Benchmark>,
+        gate: F,
+    }
+
+    impl<F: Fn() + Send + Sync> Benchmark for Gated<F> {
+        fn spec(&self) -> workloads::bench::BenchSpec {
+            self.inner.spec()
+        }
+        fn inputs(&self) -> Vec<InputSpec> {
+            self.inner.inputs()
+        }
+        fn run(
+            &self,
+            dev: &mut kepler_sim::Device,
+            input: &InputSpec,
+        ) -> workloads::bench::RunOutput {
+            (self.gate)();
+            self.inner.run(dev, input)
+        }
+    }
+
+    /// Two first units of one eligible program at once: one records the
+    /// trace, the other waits for it and replays, and both read what direct
+    /// runs read. The recording's functional run starts only once both
+    /// units are in flight, so the second arrives while it records.
+    #[test]
+    fn concurrent_first_units_of_a_program_share_one_recording() {
+        let _serial = crate::serial();
+        let c = Arc::new(Campaign::in_memory());
+        let watched = c.clone();
+        let bench: Arc<dyn Benchmark> = Arc::new(Gated {
+            inner: registry::by_key("sten").unwrap(),
+            gate: move || {
+                let both = eventually(|| watched.stats().in_flight == 2);
+                assert!(both, "the other unit never arrived");
+            },
+        });
+        let configs = [GpuConfigKind::Default, GpuConfigKind::C614];
+        let pending = configs.map(|config| Pending::start(&c, &bench, config));
+        let sten = registry::by_key("sten").unwrap();
+        let input = &sten.inputs()[0];
+        for (config, unit) in configs.into_iter().zip(pending) {
+            let got = unit.outcome().expect("the unit resolved");
+            let want = measure_with_device_config(sten.as_ref(), input, config.device_config(), 0);
+            assert_eq!(
+                format_record(0, "unit", &got),
+                format_record(0, "unit", &want),
+                "{}",
+                config.name()
+            );
+        }
+        let s = c.stats();
+        assert_eq!(
+            (s.simulated, s.trace_replays, s.in_flight),
+            (1, 1, 0),
+            "{s}"
+        );
+    }
+
+    /// A kernel without `parallel_safe`: it executes at dispatch, so a run
+    /// that launches it cannot be recorded.
+    struct Irregular;
+
+    impl kepler_sim::Kernel for Irregular {
+        fn name(&self) -> &'static str {
+            "irregular"
+        }
+        fn run_block(&self, blk: &mut kepler_sim::BlockCtx) {
+            blk.for_each_thread(|t| t.int_op(1));
+        }
+    }
+
+    /// A program that launches an irregular kernel first, then holds its
+    /// run until two of its runs have started.
+    #[derive(Default)]
+    struct IrregularFirst {
+        runs: AtomicU32,
+    }
+
+    impl Benchmark for IrregularFirst {
+        fn spec(&self) -> workloads::bench::BenchSpec {
+            workloads::bench::BenchSpec {
+                key: "irregular-first",
+                name: "IRREGULAR-FIRST",
+                suite: workloads::bench::Suite::LonestarGpu,
+                kernels: 1,
+                regular: false,
+                description: "an irregular launch, then a wait for a second run",
+            }
+        }
+        fn inputs(&self) -> Vec<InputSpec> {
+            vec![InputSpec::new("one", 1, 0, 0, 1.0)]
+        }
+        fn run(
+            &self,
+            dev: &mut kepler_sim::Device,
+            _input: &InputSpec,
+        ) -> workloads::bench::RunOutput {
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            dev.launch(&Irregular, 4, 64);
+            let both = eventually(|| self.runs.load(Ordering::SeqCst) >= 2);
+            assert!(both, "the other configuration never started its run");
+            workloads::bench::RunOutput {
+                checksum: 0.0,
+                items: None,
+            }
+        }
+    }
+
+    /// An ineligible recording wakes the unit waiting on it at its first
+    /// irregular launch, not when it ends: the recording run cannot end
+    /// before the other configuration's run has started. Both simulate,
+    /// and the key is never claimed again.
+    #[test]
+    fn an_ineligible_recording_wakes_its_waiter_at_its_first_irregular_launch() {
+        let _serial = crate::serial();
+        let c = Arc::new(Campaign::in_memory());
+        let bench: Arc<dyn Benchmark> = Arc::new(IrregularFirst::default());
+        let configs = [GpuConfigKind::Default, GpuConfigKind::C614];
+        for unit in configs.map(|config| Pending::start(&c, &bench, config)) {
+            let resolved = unit.outcome();
+            assert!(resolved.is_some(), "a unit waited for the whole recording");
+        }
+        let s = c.stats();
+        assert_eq!(
+            (s.simulated, s.trace_replays, s.in_flight),
+            (2, 0, 0),
+            "{s}"
+        );
+        let g = c.state.lock().unwrap();
+        assert!(g.recording.is_empty());
+        assert_eq!(g.unrecordable.len(), 1);
     }
 
     #[test]
@@ -1501,6 +1826,123 @@ mod tests {
             PowerError::InsufficientSamples(4)
         );
         assert!(parse_record("garbage").is_none());
+    }
+
+    /// Floats a record must carry bit for bit: signed zeros, infinities,
+    /// subnormals, NaNs of either sign and any payload, arbitrary bits.
+    fn arb_f64(rng: &mut TestRng) -> f64 {
+        const EDGES: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1e-310];
+        match rng.below(4) {
+            0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+            1 => f64::from_bits(rng.next_u64() | 0x7ff0_0000_0000_0001),
+            2 => rng.unit_f64() * 1e3,
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    fn arb_measurement(rng: &mut TestRng) -> Measurement {
+        let reading = Reading {
+            active_runtime_s: arb_f64(rng),
+            energy_j: arb_f64(rng),
+            avg_power_w: arb_f64(rng),
+            threshold_w: arb_f64(rng),
+            idle_w: arb_f64(rng),
+            n_active_samples: rng.next_u64() as usize,
+        };
+        let counters = KernelCounters {
+            blocks: rng.next_u64(),
+            threads: rng.next_u64(),
+            warps: rng.next_u64(),
+            issue_cycles: arb_f64(rng),
+            dram_bytes: arb_f64(rng),
+            useful_bytes: arb_f64(rng),
+            transactions: arb_f64(rng),
+            ideal_transactions: arb_f64(rng),
+            atomics: arb_f64(rng),
+            lane_ops: std::array::from_fn(|_| arb_f64(rng)),
+            shared_accesses: arb_f64(rng),
+            bank_conflict_cycles: arb_f64(rng),
+            barriers: arb_f64(rng),
+            slots: arb_f64(rng),
+            active_lanes: arb_f64(rng),
+            l1_hits: arb_f64(rng),
+            l2_hits: arb_f64(rng),
+            dram_transactions: arb_f64(rng),
+            mshr_merges: arb_f64(rng),
+        };
+        Measurement {
+            reading,
+            checksum: arb_f64(rng),
+            items: (rng.below(2) == 0).then(|| ItemCounts {
+                vertices: rng.next_u64(),
+                edges: rng.next_u64(),
+            }),
+            counters,
+            board_energy_j: arb_f64(rng),
+            trace_end_s: arb_f64(rng),
+            kernel_time_s: arb_f64(rng),
+            sampled_energy_j: (0..rng.below(6)).map(|_| arb_f64(rng)).collect(),
+        }
+    }
+
+    /// Random records: any fingerprint, a key of any characters but line
+    /// breaks, and an arbitrary measurement or either measurement error.
+    struct ArbRecord;
+
+    impl Strategy for ArbRecord {
+        type Value = (u64, String, Result<Measurement, PowerError>);
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let key = (0..rng.below(40))
+                .filter_map(|_| char::from_u32(rng.below(0x11_0000) as u32))
+                .filter(|c| !matches!(c, '\n' | '\r'))
+                .collect();
+            let res = match rng.below(4) {
+                0 => Err(PowerError::NoSamples),
+                1 => Err(PowerError::InsufficientSamples(rng.next_u64() as usize)),
+                _ => Ok(arb_measurement(rng)),
+            };
+            (rng.next_u64(), key, res)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every record `format_record` writes parses back to its
+        /// fingerprint, key and outcome bit for bit: every float is written
+        /// as its bits, and re-formatting the parsed record writes the same
+        /// bytes.
+        #[test]
+        fn every_formatted_record_parses_back_bit_for_bit(rec in ArbRecord) {
+            let (fp, key, res) = rec;
+            let body = format_record(fp, &key, &res);
+            let back = parse_record(&body);
+            let (fp2, key2, res2) = back.unwrap_or_else(|| panic!("rejected {body:?}"));
+            prop_assert_eq!((fp2, &key2), (fp, &key));
+            prop_assert_eq!(format_record(fp2, &key2, &res2), body);
+        }
+
+        /// Arbitrary text, truncations and one-byte edits of a valid record
+        /// never panic the parser, and a record cut anywhere before its
+        /// final newline never parses.
+        #[test]
+        fn parse_record_survives_arbitrary_and_damaged_text(
+            rec in ArbRecord,
+            junk in proptest::collection::vec(0u8..=255, 0..512),
+            cut in 0usize..8192,
+            at in 0usize..8192,
+            byte in 0u8..=255,
+        ) {
+            let _ = parse_record(&String::from_utf8_lossy(&junk));
+            let body = format_record(rec.0, &rec.1, &rec.2).into_bytes();
+            let cut = cut % (body.len() - 1);
+            let truncated = String::from_utf8_lossy(&body[..cut]);
+            prop_assert!(parse_record(&truncated).is_none(), "cut at {cut} parsed");
+            let mut edited = body;
+            let at = at % edited.len();
+            edited[at] = byte;
+            let _ = parse_record(&String::from_utf8_lossy(&edited));
+        }
     }
 
     #[test]
@@ -1676,32 +2118,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(&traces);
     }
 
-    /// Only a successful trace load is shared: a cold sweep over an empty
-    /// trace directory simulates until a point has recorded the trace —
-    /// at most once per pool thread — and replays every other point.
+    /// A cold sweep over an empty trace directory simulates one point, at
+    /// any pool size: the first point to miss records the trace, and the
+    /// others wait for it and replay.
     #[test]
-    fn cold_sweep_simulates_at_most_once_per_pool_thread() {
+    fn cold_sweep_simulates_once() {
         let _serial = crate::serial();
         let traces = scratch_dir("cold-sweep-traces");
         let b = registry::by_key("sten").unwrap();
         let input = &b.inputs()[0];
         let grid = sweep_grid(&[400.0, 500.0, 600.0, 705.0], &[2600.0]);
-        // The pool size the rayon shim uses.
-        let threads = std::env::var("SIM_PAR_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .min(grid.len());
 
         let cold = trace_campaign(&traces);
         let sweep = cold.sweep(b.as_ref(), input, &grid, 1);
         let s = cold.stats();
-        assert!(
-            (1..=threads as u64).contains(&s.simulated),
-            "{s} with {threads} pool threads"
-        );
-        assert_eq!(s.simulated + s.trace_replays, grid.len() as u64, "{s}");
+        assert_eq!((s.simulated, s.trace_replays), (1, 3), "{s}");
 
         // The recorded trace replays every point to the same readings.
         let warm = trace_campaign(&traces);

@@ -166,13 +166,26 @@ fn measure_power(
 pub fn measure_with_device_config_recording(
     bench: &dyn Benchmark,
     input: &InputSpec,
+    cfg: DeviceConfig,
+    rep: u64,
+) -> (Result<Measurement, PowerError>, Option<StoredTrace>) {
+    measure_recording(bench, input, cfg, rep, TraceRecorder::default())
+}
+
+/// [`measure_with_device_config_recording`] through the caller's recorder,
+/// which the campaign builds with an ineligibility hook
+/// ([`TraceRecorder::with_ineligible_hook`]).
+pub(crate) fn measure_recording(
+    bench: &dyn Benchmark,
+    input: &InputSpec,
     mut cfg: DeviceConfig,
     rep: u64,
+    rec: TraceRecorder,
 ) -> (Result<Measurement, PowerError>, Option<StoredTrace>) {
     let seed = run_seed(bench.spec().key, input.name, rep);
     cfg.jitter_seed = seed;
     let mut dev = Device::new(cfg);
-    let rec = Arc::new(TraceRecorder::default());
+    let rec = Arc::new(rec);
     dev.set_trace_recorder(rec.clone());
     let out = bench.run(&mut dev, input);
     let counters = dev.total_counters();

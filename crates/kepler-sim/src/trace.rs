@@ -86,6 +86,9 @@ pub struct RunTrace {
     pub ops: Vec<TraceOp>,
 }
 
+/// Called when a launch makes a recording ineligible.
+type IneligibleHook = Box<dyn FnOnce() + Send>;
+
 #[derive(Default)]
 struct RecorderInner {
     launches: Vec<LaunchTrace>,
@@ -94,6 +97,8 @@ struct RecorderInner {
     /// First kernel that could not take the pre-execution path; set once,
     /// poisons the whole run (a partial trace cannot be replayed).
     ineligible: Option<String>,
+    /// Called when that kernel poisons the run; taken then.
+    on_ineligible: Option<IneligibleHook>,
 }
 
 /// Observes a live [`Device`]'s launches and host gaps into a [`RunTrace`].
@@ -107,6 +112,18 @@ pub struct TraceRecorder {
 impl TraceRecorder {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A recorder that calls `hook` as soon as a launch makes the run
+    /// ineligible, while the run goes on: whoever waits for this
+    /// recording's trace learns at once that none will come.
+    pub fn with_ineligible_hook(hook: impl FnOnce() + Send + 'static) -> Self {
+        Self {
+            inner: Mutex::new(RecorderInner {
+                on_ineligible: Some(Box::new(hook)),
+                ..RecorderInner::default()
+            }),
+        }
     }
 
     pub(crate) fn record_launch(
@@ -152,12 +169,18 @@ impl TraceRecorder {
 
     pub(crate) fn mark_ineligible(&self, kernel: &str) {
         let mut inner = self.inner.lock().unwrap();
-        if inner.ineligible.is_none() {
-            // What was recorded so far can never be replayed: free it now.
-            *inner = RecorderInner {
-                ineligible: Some(kernel.to_string()),
-                ..RecorderInner::default()
-            };
+        if inner.ineligible.is_some() {
+            return;
+        }
+        let hook = inner.on_ineligible.take();
+        // What was recorded so far can never be replayed: free it now.
+        *inner = RecorderInner {
+            ineligible: Some(kernel.to_string()),
+            ..RecorderInner::default()
+        };
+        drop(inner);
+        if let Some(hook) = hook {
+            hook();
         }
     }
 
@@ -683,6 +706,26 @@ mod tests {
         dev.launch(&PSaxpy { x, y, a: 2.0 }, 8, 128);
         dev.launch(&Racy, 4, 64); // exec-at-dispatch: unrecordable
         assert!(rec.finish().is_none());
+        assert_eq!(rec.ineligible_kernel().as_deref(), Some("racy"));
+    }
+
+    /// The hook hears of the first ineligible launch when it happens, and
+    /// never of an eligible one.
+    #[test]
+    fn ineligible_hook_fires_at_the_first_irregular_launch() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rec = std::sync::Arc::new(TraceRecorder::with_ineligible_hook(move || {
+            tx.send(()).unwrap()
+        }));
+        let mut dev = Device::new(cfg(5));
+        dev.set_trace_recorder(rec.clone());
+        let n = 1024usize;
+        let x = dev.alloc_from(&vec![1.0f32; n]);
+        let y = dev.alloc_from(&vec![1.0f32; n]);
+        dev.launch(&PSaxpy { x, y, a: 2.0 }, 8, 128);
+        assert!(rx.try_recv().is_err(), "an eligible launch fired the hook");
+        dev.launch(&Racy, 4, 64);
+        assert_eq!(rx.try_recv(), Ok(()), "fired mid-run");
         assert_eq!(rec.ineligible_kernel().as_deref(), Some("racy"));
     }
 }

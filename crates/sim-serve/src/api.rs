@@ -746,9 +746,10 @@ pub fn parse_units_request(body: &[u8]) -> Result<Vec<Unit>, ApiError> {
 }
 
 /// Execute a `/v1/units` chunk. Every unit is resolved through the shared
-/// campaign (memo → disk → trace replay → simulate, in-flight dedup
-/// included); measurement errors count as executed — their structured
-/// form is cached, which is the worker's whole contract.
+/// campaign (memo → disk → trace replay → wait for a recording →
+/// simulate, in-flight dedup included); measurement errors count as
+/// executed — their structured form is cached, which is the worker's
+/// whole contract.
 pub fn units_response(campaign: &Campaign, units: &[Unit]) -> Json {
     let mut ok = 0usize;
     let mut unmeasurable = 0usize;

@@ -370,27 +370,40 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, ParseError> {
+    /// Skip a run of ASCII digits; whether there was at least one.
+    fn digits(&mut self) -> bool {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+        self.pos > start
+    }
+
+    /// RFC 8259's grammar, `-? (0 | [1-9][0-9]*) (\.[0-9]+)?
+    /// ([eE][+-]?[0-9]+)?`, then a finite `f64`.
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        let invalid = || ParseError(format!("invalid number at byte {start}"));
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let int = self.pos;
+        if !self.digits() || (self.bytes[int] == b'0' && self.pos > int + 1) {
+            return Err(invalid());
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !self.digits() {
+                return Err(invalid());
             }
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+            if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !self.digits() {
+                return Err(invalid());
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
@@ -398,7 +411,7 @@ impl Parser<'_> {
             .ok()
             .filter(|n| n.is_finite())
             .map(Json::Num)
-            .ok_or_else(|| ParseError(format!("invalid number at byte {start}")))
+            .ok_or_else(invalid)
     }
 }
 
@@ -456,6 +469,26 @@ mod tests {
         // Depth limit.
         let deep = "[".repeat(64) + &"]".repeat(64);
         assert!(parse(&deep).is_err());
+    }
+
+    /// Numbers follow RFC 8259's grammar, not `f64::from_str`'s.
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for bad in ["01", "00.5", "1.", "-.5", "1.e5", "-", "1e", "1e+"] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.0, "invalid number at byte 0", "{bad:?}");
+        }
+        for (good, n) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("1e5", 1e5),
+            ("1E+5", 1e5),
+            ("-2.5e-3", -2.5e-3),
+        ] {
+            let v = parse(good).unwrap_or_else(|e| panic!("{good:?}: {e}"));
+            assert_eq!(v.as_f64().map(f64::to_bits), Some(n.to_bits()), "{good:?}");
+        }
     }
 
     #[test]

@@ -892,7 +892,7 @@ pub fn prometheus_body(state: &Arc<ServeState>) -> String {
     push_gauge(
         &mut out,
         "simserve_campaign_in_flight",
-        "Run units currently simulating.",
+        "Run units resolving past the record caches: simulating, replaying or waiting for a recording.",
         stats.in_flight as f64,
     );
     out.push_str(concat!(
