@@ -16,7 +16,8 @@
 //! This is the CI gate: `analyze --all --baseline analyze-baseline.txt`.
 
 use rayon::prelude::*;
-use sim_analyze::{analyze_workload, Baseline, WorkloadAnalysis};
+use sim_analyze::{analyze_workload, AnalysisFinding, Baseline, Verdict, WorkloadAnalysis};
+use sim_telemetry::json::Json;
 use workloads::bench::Benchmark;
 use workloads::registry;
 
@@ -91,6 +92,54 @@ fn analyze_one(
     wa
 }
 
+/// One workload's analysis as a JSON object.
+fn to_json(wa: &WorkloadAnalysis) -> Json {
+    fn finding_json(f: &AnalysisFinding) -> Json {
+        Json::obj([
+            ("kernel", Json::str(&f.kernel)),
+            ("code", Json::str(&f.code)),
+            ("severity", Json::str(f.severity.name())),
+            ("message", Json::str(&f.message)),
+        ])
+    }
+    let units = wa.units.iter().map(|u| {
+        Json::obj([
+            ("kernel", Json::str(&u.kernel)),
+            ("grid", Json::num(f64::from(u.grid))),
+            ("block_threads", Json::num(f64::from(u.block_threads))),
+            ("launches", Json::num(f64::from(u.launches))),
+            ("parallel_safe", Json::Bool(u.parallel_safe)),
+            ("declared", Json::Bool(u.declared)),
+            (
+                "verdict",
+                match &u.verdict {
+                    None => Json::Null,
+                    Some(Verdict::Provable) => Json::str("provable"),
+                    Some(Verdict::Unprovable(r)) => Json::obj([("unprovable", Json::str(r))]),
+                },
+            ),
+        ])
+    });
+    // Intensity is a ratio of declared estimates: six decimals carry it.
+    let intensity = (wa.classification.intensity * 1e6).round() / 1e6;
+    Json::obj([
+        ("workload", Json::str(&wa.workload)),
+        ("input", Json::str(&wa.input)),
+        ("launches", Json::num(f64::from(wa.launches))),
+        ("class", Json::str(wa.classification.class.name())),
+        ("intensity", Json::num(intensity)),
+        ("units", Json::Arr(units.collect())),
+        (
+            "findings",
+            Json::Arr(wa.findings.iter().map(finding_json).collect()),
+        ),
+        (
+            "suppressed",
+            Json::Arr(wa.suppressed.iter().map(finding_json).collect()),
+        ),
+    ])
+}
+
 fn main() {
     let args = parse_args();
 
@@ -140,12 +189,8 @@ fn main() {
 
     if args.json {
         println!(
-            "[{}]",
-            analyses
-                .iter()
-                .map(WorkloadAnalysis::to_json)
-                .collect::<Vec<_>>()
-                .join(",")
+            "{}",
+            Json::Arr(analyses.iter().map(to_json).collect()).dump()
         );
     } else {
         for wa in &analyses {
@@ -156,7 +201,7 @@ fn main() {
     let errors: usize = analyses.iter().map(WorkloadAnalysis::errors).sum();
     let warnings: usize = analyses.iter().map(WorkloadAnalysis::warnings).sum();
     let suppressed: usize = analyses.iter().map(|w| w.suppressed.len()).sum();
-    println!(
+    let summary = format!(
         "== summary: {} workload{}, {} error{}, {} warning{}, {} baselined",
         analyses.len(),
         if analyses.len() == 1 { "" } else { "s" },
@@ -166,6 +211,12 @@ fn main() {
         if warnings == 1 { "" } else { "s" },
         suppressed
     );
+    // With --json, stdout carries exactly one JSON document.
+    if args.json {
+        eprintln!("{summary}");
+    } else {
+        println!("{summary}");
+    }
     let dirty: Vec<&str> = analyses
         .iter()
         .filter(|w| !w.clean())
@@ -174,5 +225,28 @@ fn main() {
     if !dirty.is_empty() {
         eprintln!("[analyze] FAILED: findings in {}", dirty.join(", "));
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_telemetry::json;
+    use workloads::bench::InputSpec;
+
+    #[test]
+    fn json_parses_and_reads_back_escaped_names() {
+        let b = registry::by_key("sc").unwrap();
+        let input = InputSpec::new("t", 4096, 0, 0, 1.0);
+        let mut wa = analyze_workload(b.as_ref(), &input);
+        let workload = "x\"y\\z\nw\tv\ru";
+        wa.workload = workload.into();
+        let js = json::parse(&to_json(&wa).dump()).unwrap();
+        assert_eq!(js.get("workload").and_then(Json::as_str), Some(workload));
+        assert_eq!(js.get("class").and_then(Json::as_str), Some("memory-bound"));
+        assert_eq!(
+            js.get("units").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(wa.units.len())
+        );
     }
 }

@@ -17,6 +17,7 @@
 use characterize::sanity::{sanitize_run_raw, workload_allowlist};
 use rayon::prelude::*;
 use sim_sanitizer::{Allowlist, CheckerSet, Report};
+use sim_telemetry::json::Json;
 use workloads::bench::Benchmark;
 use workloads::registry;
 
@@ -174,14 +175,7 @@ fn main() {
     );
 
     if args.json {
-        let body = format!(
-            "[{}]",
-            reports
-                .iter()
-                .map(Report::to_json)
-                .collect::<Vec<_>>()
-                .join(",")
-        );
+        let body = Json::Arr(reports.iter().map(Report::to_json).collect()).dump();
         match &args.json_out {
             Some(path) => {
                 if let Err(e) = std::fs::write(path, &body) {
@@ -203,7 +197,7 @@ fn main() {
     let errors: usize = reports.iter().map(Report::errors).sum();
     let warnings: usize = reports.iter().map(Report::warnings).sum();
     let suppressed: usize = reports.iter().map(|r| r.suppressed.len()).sum();
-    println!(
+    let summary = format!(
         "== summary: {} run{}, {} error{}, {} warning{}, {} allowed",
         reports.len(),
         if reports.len() == 1 { "" } else { "s" },
@@ -213,6 +207,12 @@ fn main() {
         if warnings == 1 { "" } else { "s" },
         suppressed
     );
+    // JSON on stdout must be the only thing there.
+    if args.json && args.json_out.is_none() {
+        eprintln!("{summary}");
+    } else {
+        println!("{summary}");
+    }
     if !dirty.is_empty() {
         let keys: Vec<&str> = dirty.iter().map(|r| r.workload.as_str()).collect();
         eprintln!("[sanitize] FAILED: findings in {}", keys.join(", "));

@@ -43,7 +43,7 @@ use kepler_sim::{fnv1a64, ClockConfig, DeviceConfig, KernelCounters, TraceRecord
 use rayon::prelude::*;
 use sim_telemetry::{Event, TelemetrySink};
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -1198,28 +1198,13 @@ fn parse_record(body: &str) -> Option<(u64, String, Result<Measurement, PowerErr
     Some((fp, key, res))
 }
 
-/// Remove every record in `dir` (used by `repro --no-cache` semantics is
-/// *not* this — this is an explicit purge helper for tooling and tests).
-pub fn purge_cache(dir: &Path) -> std::io::Result<usize> {
-    let mut removed = 0;
-    if dir.is_dir() {
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            if path.extension().map(|e| e == "camp").unwrap_or(false) {
-                std::fs::remove_file(&path)?;
-                removed += 1;
-            }
-        }
-    }
-    Ok(removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::measure_median3;
     use proptest::prelude::*;
     use proptest::TestRng;
+    use std::path::Path;
     use std::sync::atomic::AtomicU32;
     use std::sync::mpsc;
     use std::time::Duration;

@@ -334,11 +334,6 @@ impl Device {
         self.access = Some(obs);
     }
 
-    /// The attached access observer, if any.
-    pub fn access_observer(&self) -> Option<&Arc<dyn AccessObserver>> {
-        self.access.as_ref()
-    }
-
     /// Attach a launch inspector (the static analyzer's capture hook): it
     /// receives one [`LaunchSummary`] per launch — geometry, resources,
     /// the `parallel_safe` opt-in and the declared footprint — right

@@ -132,63 +132,6 @@ impl WorkloadAnalysis {
         }
         out
     }
-
-    /// Render as a JSON object (hand-rolled; the workspace builds offline
-    /// without a JSON dependency).
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        fn finding_json(f: &AnalysisFinding) -> String {
-            format!(
-                r#"{{"kernel":"{}","code":"{}","severity":"{}","message":"{}"}}"#,
-                esc(&f.kernel),
-                esc(&f.code),
-                f.severity,
-                esc(&f.message)
-            )
-        }
-        let units: Vec<String> = self
-            .units
-            .iter()
-            .map(|u| {
-                format!(
-                    r#"{{"kernel":"{}","grid":{},"block_threads":{},"launches":{},"parallel_safe":{},"declared":{},"verdict":{}}}"#,
-                    esc(&u.kernel),
-                    u.grid,
-                    u.block_threads,
-                    u.launches,
-                    u.parallel_safe,
-                    u.declared,
-                    match &u.verdict {
-                        None => "null".to_string(),
-                        Some(Verdict::Provable) => "\"provable\"".to_string(),
-                        Some(Verdict::Unprovable(r)) => format!(r#"{{"unprovable":"{}"}}"#, esc(r)),
-                    }
-                )
-            })
-            .collect();
-        format!(
-            "{{\"workload\":\"{}\",\"input\":\"{}\",\"launches\":{},\"class\":\"{}\",\"intensity\":{:.6},\
-\"units\":[{}],\"findings\":[{}],\"suppressed\":[{}]}}",
-            esc(&self.workload),
-            esc(&self.input),
-            self.launches,
-            self.classification.class.name(),
-            self.classification.intensity,
-            units.join(","),
-            self.findings
-                .iter()
-                .map(finding_json)
-                .collect::<Vec<_>>()
-                .join(","),
-            self.suppressed
-                .iter()
-                .map(finding_json)
-                .collect::<Vec<_>>()
-                .join(","),
-        )
-    }
 }
 
 /// Derive the contract findings for one unit.
@@ -444,16 +387,5 @@ mod tests {
         assert!(Baseline::parse_file("# comment only\n").unwrap().is_empty());
         let b = Baseline::parse_file("*:*:k1\ncode:k2 # trailing\n").unwrap();
         assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn json_braces_balance() {
-        let b = registry::by_key("sc").unwrap();
-        let input = InputSpec::new("t", 4096, 0, 0, 1.0);
-        let wa = analyze_workload(b.as_ref(), &input);
-        let js = wa.to_json();
-        assert!(js.starts_with('{') && js.ends_with('}'));
-        assert_eq!(js.matches('{').count(), js.matches('}').count());
-        assert!(js.contains(r#""class":"memory-bound""#));
     }
 }

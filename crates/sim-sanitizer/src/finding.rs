@@ -1,6 +1,7 @@
 //! The finding vocabulary: which checker fired, how bad it is, and the
 //! aggregated report a sanitized run produces.
 
+use sim_telemetry::json::Json;
 use std::fmt;
 
 /// The individual checkers. Correctness checkers gate CI; performance
@@ -222,57 +223,45 @@ impl Report {
         out
     }
 
-    /// Render the report as a JSON object (hand-rolled; the workspace
-    /// builds offline without a JSON dependency).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
+    /// The report as a JSON object.
+    pub fn to_json(&self) -> Json {
+        fn finding_json(f: &Finding) -> Json {
+            Json::obj([
+                ("checker", Json::str(f.checker.name())),
+                ("severity", Json::str(f.severity.name())),
+                ("kernel", Json::str(&f.kernel)),
+                ("hazard", Json::str(&f.hazard)),
+                ("buffer", Json::str(&f.buffer)),
+                ("count", Json::num(f.count as f64)),
+                ("first_launch", Json::num(f64::from(f.first_launch))),
+                ("message", Json::str(&f.message)),
+            ])
         }
-        fn finding_json(f: &Finding) -> String {
-            format!(
-                r#"{{"checker":"{}","severity":"{}","kernel":"{}","hazard":"{}","buffer":"{}","count":{},"first_launch":{},"message":"{}"}}"#,
-                f.checker,
-                f.severity,
-                esc(&f.kernel),
-                esc(&f.hazard),
-                esc(&f.buffer),
-                f.count,
-                f.first_launch,
-                esc(&f.message)
-            )
-        }
-        let findings: Vec<String> = self.findings.iter().map(finding_json).collect();
-        let suppressed: Vec<String> = self.suppressed.iter().map(finding_json).collect();
-        let benign: Vec<String> = self
-            .benign_atomic
-            .iter()
-            .map(|(k, w)| format!(r#"{{"kernel":"{}","words":{}}}"#, esc(k), w))
-            .collect();
-        format!(
-            "{{\"workload\":\"{}\",\"input\":\"{}\",\"launches\":{},\"accesses\":{},\
-\"findings\":[{}],\"suppressed\":[{}],\"benign_atomic\":[{}]}}",
-            esc(&self.workload),
-            esc(&self.input),
-            self.launches,
-            self.accesses,
-            findings.join(","),
-            suppressed.join(","),
-            benign.join(",")
-        )
+        Json::obj([
+            ("workload", Json::str(&self.workload)),
+            ("input", Json::str(&self.input)),
+            ("launches", Json::num(f64::from(self.launches))),
+            ("accesses", Json::num(self.accesses as f64)),
+            (
+                "findings",
+                Json::Arr(self.findings.iter().map(finding_json).collect()),
+            ),
+            (
+                "suppressed",
+                Json::Arr(self.suppressed.iter().map(finding_json).collect()),
+            ),
+            (
+                "benign_atomic",
+                Json::Arr(
+                    self.benign_atomic
+                        .iter()
+                        .map(|(k, w)| {
+                            Json::obj([("kernel", Json::str(k)), ("words", Json::num(*w as f64))])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
     }
 
     /// Convert the active findings into telemetry events stamped at `t`,
@@ -344,17 +333,21 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
+    fn json_parses_and_reads_back_escaped_names() {
+        let workload = "x\"y\\z\nw\tv\ru";
         let rep = Report {
-            workload: "x\"y".into(),
+            workload: workload.into(),
             findings: vec![sample_finding()],
             ..Report::default()
         };
-        let js = rep.to_json();
-        assert!(js.starts_with('{') && js.ends_with('}'));
-        assert!(js.contains(r#""workload":"x\"y""#));
-        assert!(js.contains(r#""checker":"race-global""#));
-        assert_eq!(js.matches('{').count(), js.matches('}').count());
+        let js = sim_telemetry::json::parse(&rep.to_json().dump()).unwrap();
+        assert_eq!(js.get("workload").and_then(Json::as_str), Some(workload));
+        let findings = js.get("findings").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            findings[0].get("checker").and_then(Json::as_str),
+            Some("race-global")
+        );
+        assert_eq!(findings[0].get("count").and_then(Json::as_u64), Some(12));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Characterization-as-a-service: a dependency-free HTTP/1.1 JSON service
 //! over `std::net` that exposes the [`characterize`] measurement campaign
 //! to remote clients. One long-lived [`Campaign`] backs every request, so
-//! the service inherits the campaign's three cache layers (in-process
-//! memo, condvar in-flight dedup, on-disk records): N identical concurrent
-//! requests cost one simulation, and a warm cache serves paper artifacts
-//! byte-identical to `repro` without simulating at all.
+//! the service inherits the campaign's cache layers (in-process memo,
+//! condvar in-flight dedup, on-disk records, and the trace DB whose
+//! recorded launch traces replay later configurations without functional
+//! execution): N identical concurrent requests cost one simulation, and a
+//! warm cache serves paper artifacts byte-identical to `repro` without
+//! simulating at all.
 //!
 //! ## Endpoints
 //!
@@ -34,6 +36,9 @@
 //! (SIGTERM/SIGINT or [`Server::shutdown_handle`]) stops accepting, runs
 //! the admitted backlog to completion, and exits cleanly.
 //!
+//! Request and response bodies go through the workspace's one JSON codec,
+//! [`sim_telemetry::json`], re-exported here as [`json`].
+//!
 //! See `docs/SERVE.md` for the full API reference and semantics.
 //!
 //! [`Campaign`]: characterize::campaign::Campaign
@@ -42,16 +47,16 @@ pub mod api;
 pub mod client;
 pub mod dispatch;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod queue;
 pub mod server;
+
+pub use sim_telemetry::json;
 
 pub use api::{ApiError, MAX_SWEEP_POINTS};
 pub use client::{ClientResponse, ClientStats, HttpClient};
 pub use dispatch::{hrw_owner, DispatchConfig, Dispatcher};
 pub use http::{Limits, Request, Response};
-pub use json::Json;
 pub use metrics::{nearest_rank_ms, Endpoint, Metrics};
 pub use queue::{JobQueue, SubmitError};
 pub use server::{

@@ -134,11 +134,6 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Queue gauges for `/metrics` and tests.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
-    }
-
     fn connection_opened(&self) {
         *self.connections.lock().unwrap() += 1;
     }

@@ -1,47 +1,235 @@
 //! Trace exporters: Chrome Trace Event JSON, JSONL, and CSV.
 //!
-//! All three are hand-rolled (the workspace builds offline with no JSON
-//! dependency). The JSONL form is round-trippable through
-//! [`event_from_jsonl`]; the Chrome form targets `chrome://tracing` and
-//! `ui.perfetto.dev`; the CSV form is a fixed superset of columns for
-//! spreadsheet work.
+//! Every event has one field list, [`Event::to_json`]: the JSONL form
+//! dumps it, one object per line, and the CSV form spreads it over the
+//! fixed [`CSV_HEADER`] columns for spreadsheet work. The Chrome form,
+//! which targets `chrome://tracing` and `ui.perfetto.dev`, shapes its own
+//! rows. JSON text, and every number a CSV cell holds, is written by
+//! [`crate::json`].
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
-use crate::event::{BoardPhase, Event};
-
-/// Escape a string for embedding inside a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format a float for JSON. Rust's `{}` prints the shortest representation
-/// that round-trips, which is exactly what the JSONL parser needs; non-finite
-/// values (which no instrumented site produces) degrade to `null`.
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".into()
-    }
-}
+use crate::event::Event;
+use crate::json::Json;
 
 const US: f64 = 1e6; // Chrome trace timestamps are microseconds.
+
+/// A JSON number from any field that converts to `f64` without loss.
+fn num(x: impl Into<f64>) -> Json {
+    Json::Num(x.into())
+}
+
+impl Event {
+    /// The event as one flat JSON object, `tag` first: the field list the
+    /// JSONL and CSV exporters share.
+    pub fn to_json(&self) -> Json {
+        let fields = match self {
+            Event::ConfigSnapshot {
+                t,
+                core_mhz,
+                mem_mhz,
+                ecc,
+            } => vec![
+                ("t", num(*t)),
+                ("core_mhz", num(*core_mhz)),
+                ("mem_mhz", num(*mem_mhz)),
+                ("ecc", Json::Bool(*ecc)),
+            ],
+            Event::KernelLaunch {
+                t,
+                launch,
+                name,
+                grid,
+                block_threads,
+            } => vec![
+                ("t", num(*t)),
+                ("launch", num(*launch)),
+                ("name", Json::str(name)),
+                ("grid", num(*grid)),
+                ("block_threads", num(*block_threads)),
+            ],
+            Event::KernelRetire {
+                t,
+                launch,
+                duration_s,
+                energy_j,
+            } => vec![
+                ("t", num(*t)),
+                ("launch", num(*launch)),
+                ("duration_s", num(*duration_s)),
+                ("energy_j", num(*energy_j)),
+            ],
+            Event::BlockDispatch {
+                t,
+                launch,
+                block,
+                sm,
+                slot,
+            } => vec![
+                ("t", num(*t)),
+                ("launch", num(*launch)),
+                ("block", num(*block)),
+                ("sm", num(*sm)),
+                ("slot", num(*slot)),
+            ],
+            Event::BlockComplete {
+                t,
+                launch,
+                block,
+                sm,
+            } => vec![
+                ("t", num(*t)),
+                ("launch", num(*launch)),
+                ("block", num(*block)),
+                ("sm", num(*sm)),
+            ],
+            Event::SmInterval {
+                t0,
+                t1,
+                sm,
+                watts,
+                issue_frac,
+                resident,
+            } => vec![
+                ("t0", num(*t0)),
+                ("t1", num(*t1)),
+                ("sm", num(*sm)),
+                ("watts", num(*watts)),
+                ("issue_frac", num(*issue_frac)),
+                ("resident", num(*resident)),
+            ],
+            Event::BoardInterval {
+                t0,
+                t1,
+                watts,
+                phase,
+            } => vec![
+                ("t0", num(*t0)),
+                ("t1", num(*t1)),
+                ("watts", num(*watts)),
+                ("phase", Json::str(phase.name())),
+            ],
+            Event::DramInterval {
+                t0,
+                t1,
+                bytes_per_s,
+                demanders,
+            } => vec![
+                ("t0", num(*t0)),
+                ("t1", num(*t1)),
+                ("bytes_per_s", num(*bytes_per_s)),
+                ("demanders", num(*demanders)),
+            ],
+            Event::DramContentionOpen { t, demanders } => {
+                vec![("t", num(*t)), ("demanders", num(*demanders))]
+            }
+            Event::DramContentionClose { t } => vec![("t", num(*t))],
+            Event::SensorSample { t, watts, rate_hz } => vec![
+                ("t", num(*t)),
+                ("watts", num(*watts)),
+                ("rate_hz", num(*rate_hz)),
+            ],
+            Event::SensorRateSwitch { t, rate_hz } => {
+                vec![("t", num(*t)), ("rate_hz", num(*rate_hz))]
+            }
+            Event::ThresholdCross {
+                t,
+                watts,
+                threshold_w,
+                rising,
+            } => vec![
+                ("t", num(*t)),
+                ("watts", num(*watts)),
+                ("threshold_w", num(*threshold_w)),
+                ("rising", Json::Bool(*rising)),
+            ],
+            Event::Finding {
+                t,
+                checker,
+                severity,
+                kernel,
+                message,
+            } => vec![
+                ("t", num(*t)),
+                ("checker", Json::str(checker)),
+                ("severity", Json::str(severity)),
+                ("kernel", Json::str(kernel)),
+                ("message", Json::str(message)),
+            ],
+            Event::CacheLookup { t, key, hit, disk } => vec![
+                ("t", num(*t)),
+                ("key", Json::str(key)),
+                ("hit", Json::Bool(*hit)),
+                ("disk", Json::Bool(*disk)),
+            ],
+            Event::CampaignProgress { t, done, total } => {
+                vec![("t", num(*t)), ("done", num(*done)), ("total", num(*total))]
+            }
+            Event::ClassEnergy { t, class, energy_j } => vec![
+                ("t", num(*t)),
+                ("class", Json::str(class)),
+                ("energy_j", num(*energy_j)),
+            ],
+        };
+        Json::obj(std::iter::once(("tag", Json::str(self.tag()))).chain(fields))
+    }
+}
+
+// Each Chrome row is dumped as soon as it is built, so a long trace
+// holds its rows as text, not as `Json` trees.
+
+/// A Chrome metadata row naming process or thread `tid`.
+fn metadata(tid: impl Into<f64>, what: &str, name: impl Into<String>) -> String {
+    Json::obj([
+        ("ph", Json::str("M")),
+        ("pid", num(0)),
+        ("tid", num(tid)),
+        ("name", Json::str(what)),
+        ("args", Json::obj([("name", Json::str(name))])),
+    ])
+    .dump()
+}
+
+/// A global instant row at `t` seconds on the kernel thread.
+fn instant(t: f64, name: impl Into<String>, args: Json) -> String {
+    Json::obj([
+        ("ph", Json::str("i")),
+        ("s", Json::str("g")),
+        ("pid", num(0)),
+        ("tid", num(0)),
+        ("ts", num(t * US)),
+        ("name", Json::str(name)),
+        ("args", args),
+    ])
+    .dump()
+}
+
+/// A counter row at `t` seconds.
+fn counter(t: f64, name: impl Into<String>, args: Json) -> String {
+    Json::obj([
+        ("ph", Json::str("C")),
+        ("pid", num(0)),
+        ("tid", num(0)),
+        ("ts", num(t * US)),
+        ("name", Json::str(name)),
+        ("args", args),
+    ])
+    .dump()
+}
+
+/// A complete slice on thread `tid` from `t0` lasting `dur` seconds.
+fn slice(tid: impl Into<f64>, t0: f64, dur: f64, name: impl Into<String>, args: Json) -> String {
+    Json::obj([
+        ("ph", Json::str("X")),
+        ("pid", num(0)),
+        ("tid", num(tid)),
+        ("ts", num(t0 * US)),
+        ("dur", num(dur * US)),
+        ("name", Json::str(name)),
+        ("args", args),
+    ])
+    .dump()
+}
 
 /// Render an event stream as a Chrome Trace Event JSON document.
 ///
@@ -53,12 +241,8 @@ const US: f64 = 1e6; // Chrome trace timestamps are microseconds.
 /// snapshot appear as instant (`i`) events.
 pub fn chrome_trace(events: &[Event]) -> String {
     let mut rows: Vec<String> = Vec::with_capacity(events.len() + 8);
-    rows.push(
-        r#"{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"kepler-sim"}}"#.into(),
-    );
-    rows.push(
-        r#"{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"kernels"}}"#.into(),
-    );
+    rows.push(metadata(0, "process_name", "kepler-sim"));
+    rows.push(metadata(0, "thread_name", "kernels"));
 
     // Kernel names by launch id, so retire events can label their slice.
     let mut knames: HashMap<u32, String> = HashMap::new();
@@ -73,15 +257,15 @@ pub fn chrome_trace(events: &[Event]) -> String {
                 core_mhz,
                 mem_mhz,
                 ecc,
-            } => {
-                rows.push(format!(
-                    r#"{{"ph":"i","s":"g","pid":0,"tid":0,"ts":{},"name":"config","args":{{"core_mhz":{},"mem_mhz":{},"ecc":{}}}}}"#,
-                    num(t * US),
-                    num(*core_mhz),
-                    num(*mem_mhz),
-                    ecc
-                ));
-            }
+            } => rows.push(instant(
+                *t,
+                "config",
+                Json::obj([
+                    ("core_mhz", num(*core_mhz)),
+                    ("mem_mhz", num(*mem_mhz)),
+                    ("ecc", Json::Bool(*ecc)),
+                ]),
+            )),
             Event::KernelLaunch { launch, name, .. } => {
                 knames.insert(*launch, name.clone());
             }
@@ -95,13 +279,12 @@ pub fn chrome_trace(events: &[Event]) -> String {
                     .get(launch)
                     .cloned()
                     .unwrap_or_else(|| format!("launch {launch}"));
-                rows.push(format!(
-                    r#"{{"ph":"X","pid":0,"tid":0,"ts":{},"dur":{},"name":"{}","args":{{"launch":{},"energy_j":{}}}}}"#,
-                    num((t - duration_s) * US),
-                    num(duration_s * US),
-                    esc(&name),
-                    launch,
-                    num(*energy_j)
+                rows.push(slice(
+                    0,
+                    t - duration_s,
+                    *duration_s,
+                    name,
+                    Json::obj([("launch", num(*launch)), ("energy_j", num(*energy_j))]),
                 ));
             }
             Event::BlockDispatch {
@@ -114,10 +297,10 @@ pub fn chrome_trace(events: &[Event]) -> String {
                 open_blocks.insert((*launch, *block), (*t, *sm));
                 if !named_sms.contains(sm) {
                     named_sms.push(*sm);
-                    rows.push(format!(
-                        r#"{{"ph":"M","pid":0,"tid":{},"name":"thread_name","args":{{"name":"SM {}"}}}}"#,
-                        sm + 1,
-                        sm
+                    rows.push(metadata(
+                        f64::from(*sm) + 1.0,
+                        "thread_name",
+                        format!("SM {sm}"),
                     ));
                 }
             }
@@ -128,13 +311,12 @@ pub fn chrome_trace(events: &[Event]) -> String {
                 sm,
             } => {
                 let (t0, _) = open_blocks.remove(&(*launch, *block)).unwrap_or((*t, *sm));
-                rows.push(format!(
-                    r#"{{"ph":"X","pid":0,"tid":{},"ts":{},"dur":{},"name":"block {}","args":{{"launch":{}}}}}"#,
-                    sm + 1,
-                    num(t0 * US),
-                    num((t - t0) * US),
-                    block,
-                    launch
+                rows.push(slice(
+                    f64::from(*sm) + 1.0,
+                    t0,
+                    t - t0,
+                    format!("block {block}"),
+                    Json::obj([("launch", num(*launch))]),
                 ));
             }
             Event::SmInterval {
@@ -145,315 +327,117 @@ pub fn chrome_trace(events: &[Event]) -> String {
                 resident,
                 ..
             } => {
-                rows.push(format!(
-                    r#"{{"ph":"C","pid":0,"tid":0,"ts":{},"name":"SM {} power (W)","args":{{"watts":{}}}}}"#,
-                    num(t0 * US),
-                    sm,
-                    num(*watts)
+                rows.push(counter(
+                    *t0,
+                    format!("SM {sm} power (W)"),
+                    Json::obj([("watts", num(*watts))]),
                 ));
-                rows.push(format!(
-                    r#"{{"ph":"C","pid":0,"tid":0,"ts":{},"name":"SM {} occupancy","args":{{"resident":{},"issue_frac":{}}}}}"#,
-                    num(t0 * US),
-                    sm,
-                    resident,
-                    num(*issue_frac)
+                rows.push(counter(
+                    *t0,
+                    format!("SM {sm} occupancy"),
+                    Json::obj([
+                        ("resident", num(*resident)),
+                        ("issue_frac", num(*issue_frac)),
+                    ]),
                 ));
             }
             Event::BoardInterval {
                 t0, watts, phase, ..
-            } => {
-                rows.push(format!(
-                    r#"{{"ph":"C","pid":0,"tid":0,"ts":{},"name":"board power (W)","args":{{"watts":{},"phase":"{}"}}}}"#,
-                    num(t0 * US),
-                    num(*watts),
-                    phase.name()
-                ));
-            }
+            } => rows.push(counter(
+                *t0,
+                "board power (W)",
+                Json::obj([("watts", num(*watts)), ("phase", Json::str(phase.name()))]),
+            )),
             Event::DramInterval {
                 t0,
                 bytes_per_s,
                 demanders,
                 ..
-            } => {
-                rows.push(format!(
-                    r#"{{"ph":"C","pid":0,"tid":0,"ts":{},"name":"DRAM bandwidth (GB/s)","args":{{"gbps":{},"demanders":{}}}}}"#,
-                    num(t0 * US),
-                    num(bytes_per_s / 1e9),
-                    demanders
-                ));
-            }
-            Event::DramContentionOpen { t, demanders } => {
-                rows.push(format!(
-                    r#"{{"ph":"i","s":"g","pid":0,"tid":0,"ts":{},"name":"dram contention open","args":{{"demanders":{}}}}}"#,
-                    num(t * US),
-                    demanders
-                ));
-            }
+            } => rows.push(counter(
+                *t0,
+                "DRAM bandwidth (GB/s)",
+                Json::obj([
+                    ("gbps", num(bytes_per_s / 1e9)),
+                    ("demanders", num(*demanders)),
+                ]),
+            )),
+            Event::DramContentionOpen { t, demanders } => rows.push(instant(
+                *t,
+                "dram contention open",
+                Json::obj([("demanders", num(*demanders))]),
+            )),
             Event::DramContentionClose { t } => {
-                rows.push(format!(
-                    r#"{{"ph":"i","s":"g","pid":0,"tid":0,"ts":{},"name":"dram contention close","args":{{}}}}"#,
-                    num(t * US)
-                ));
+                rows.push(instant(*t, "dram contention close", Json::Obj(Vec::new())))
             }
-            Event::SensorSample { t, watts, rate_hz } => {
-                rows.push(format!(
-                    r#"{{"ph":"C","pid":0,"tid":0,"ts":{},"name":"sensor (W)","args":{{"watts":{},"rate_hz":{}}}}}"#,
-                    num(t * US),
-                    num(*watts),
-                    num(*rate_hz)
-                ));
-            }
-            Event::SensorRateSwitch { t, rate_hz } => {
-                rows.push(format!(
-                    r#"{{"ph":"i","s":"g","pid":0,"tid":0,"ts":{},"name":"sensor rate switch","args":{{"rate_hz":{}}}}}"#,
-                    num(t * US),
-                    num(*rate_hz)
-                ));
-            }
+            Event::SensorSample { t, watts, rate_hz } => rows.push(counter(
+                *t,
+                "sensor (W)",
+                Json::obj([("watts", num(*watts)), ("rate_hz", num(*rate_hz))]),
+            )),
+            Event::SensorRateSwitch { t, rate_hz } => rows.push(instant(
+                *t,
+                "sensor rate switch",
+                Json::obj([("rate_hz", num(*rate_hz))]),
+            )),
             Event::ThresholdCross {
                 t,
                 watts,
                 threshold_w,
                 rising,
-            } => {
-                rows.push(format!(
-                    r#"{{"ph":"i","s":"g","pid":0,"tid":0,"ts":{},"name":"threshold {}","args":{{"watts":{},"threshold_w":{}}}}}"#,
-                    num(t * US),
-                    if *rising { "rise" } else { "fall" },
-                    num(*watts),
-                    num(*threshold_w)
-                ));
-            }
+            } => rows.push(instant(
+                *t,
+                if *rising {
+                    "threshold rise"
+                } else {
+                    "threshold fall"
+                },
+                Json::obj([("watts", num(*watts)), ("threshold_w", num(*threshold_w))]),
+            )),
             Event::Finding {
                 t,
                 checker,
                 severity,
                 kernel,
                 message,
-            } => {
-                rows.push(format!(
-                    r#"{{"ph":"i","s":"g","pid":0,"tid":0,"ts":{},"name":"finding: {}","args":{{"severity":"{}","kernel":"{}","message":"{}"}}}}"#,
-                    num(t * US),
-                    esc(checker),
-                    esc(severity),
-                    esc(kernel),
-                    esc(message)
-                ));
-            }
-            Event::CacheLookup { t, key, hit, disk } => {
-                rows.push(format!(
-                    r#"{{"ph":"i","s":"g","pid":0,"tid":0,"ts":{},"name":"cache {}","args":{{"key":"{}","disk":{}}}}}"#,
-                    num(t * US),
-                    if *hit { "hit" } else { "miss" },
-                    esc(key),
-                    disk
-                ));
-            }
-            Event::CampaignProgress { t, done, total } => {
-                rows.push(format!(
-                    r#"{{"ph":"C","pid":0,"tid":0,"ts":{},"name":"campaign progress","args":{{"done":{},"total":{}}}}}"#,
-                    num(t * US),
-                    done,
-                    total
-                ));
-            }
-            Event::ClassEnergy { t, class, energy_j } => {
-                rows.push(format!(
-                    r#"{{"ph":"i","s":"g","pid":0,"tid":0,"ts":{},"name":"class energy: {}","args":{{"energy_j":{}}}}}"#,
-                    num(t * US),
-                    esc(class),
-                    num(*energy_j)
-                ));
-            }
+            } => rows.push(instant(
+                *t,
+                format!("finding: {checker}"),
+                Json::obj([
+                    ("severity", Json::str(severity)),
+                    ("kernel", Json::str(kernel)),
+                    ("message", Json::str(message)),
+                ]),
+            )),
+            Event::CacheLookup { t, key, hit, disk } => rows.push(instant(
+                *t,
+                if *hit { "cache hit" } else { "cache miss" },
+                Json::obj([("key", Json::str(key)), ("disk", Json::Bool(*disk))]),
+            )),
+            Event::CampaignProgress { t, done, total } => rows.push(counter(
+                *t,
+                "campaign progress",
+                Json::obj([("done", num(*done)), ("total", num(*total))]),
+            )),
+            Event::ClassEnergy { t, class, energy_j } => rows.push(instant(
+                *t,
+                format!("class energy: {class}"),
+                Json::obj([("energy_j", num(*energy_j))]),
+            )),
         }
     }
 
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n]}\n");
-    out
+    format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
+        rows.join(",\n")
+    )
 }
 
-/// Render one event as a flat one-line JSON object, `tag` field first.
-pub fn event_to_jsonl(ev: &Event) -> String {
-    let tag = ev.tag();
-    match ev {
-        Event::ConfigSnapshot {
-            t,
-            core_mhz,
-            mem_mhz,
-            ecc,
-        } => format!(
-            r#"{{"tag":"{tag}","t":{},"core_mhz":{},"mem_mhz":{},"ecc":{}}}"#,
-            num(*t),
-            num(*core_mhz),
-            num(*mem_mhz),
-            ecc
-        ),
-        Event::KernelLaunch {
-            t,
-            launch,
-            name,
-            grid,
-            block_threads,
-        } => format!(
-            r#"{{"tag":"{tag}","t":{},"launch":{},"name":"{}","grid":{},"block_threads":{}}}"#,
-            num(*t),
-            launch,
-            esc(name),
-            grid,
-            block_threads
-        ),
-        Event::KernelRetire {
-            t,
-            launch,
-            duration_s,
-            energy_j,
-        } => format!(
-            r#"{{"tag":"{tag}","t":{},"launch":{},"duration_s":{},"energy_j":{}}}"#,
-            num(*t),
-            launch,
-            num(*duration_s),
-            num(*energy_j)
-        ),
-        Event::BlockDispatch {
-            t,
-            launch,
-            block,
-            sm,
-            slot,
-        } => format!(
-            r#"{{"tag":"{tag}","t":{},"launch":{},"block":{},"sm":{},"slot":{}}}"#,
-            num(*t),
-            launch,
-            block,
-            sm,
-            slot
-        ),
-        Event::BlockComplete {
-            t,
-            launch,
-            block,
-            sm,
-        } => format!(
-            r#"{{"tag":"{tag}","t":{},"launch":{},"block":{},"sm":{}}}"#,
-            num(*t),
-            launch,
-            block,
-            sm
-        ),
-        Event::SmInterval {
-            t0,
-            t1,
-            sm,
-            watts,
-            issue_frac,
-            resident,
-        } => format!(
-            r#"{{"tag":"{tag}","t0":{},"t1":{},"sm":{},"watts":{},"issue_frac":{},"resident":{}}}"#,
-            num(*t0),
-            num(*t1),
-            sm,
-            num(*watts),
-            num(*issue_frac),
-            resident
-        ),
-        Event::BoardInterval {
-            t0,
-            t1,
-            watts,
-            phase,
-        } => format!(
-            r#"{{"tag":"{tag}","t0":{},"t1":{},"watts":{},"phase":"{}"}}"#,
-            num(*t0),
-            num(*t1),
-            num(*watts),
-            phase.name()
-        ),
-        Event::DramInterval {
-            t0,
-            t1,
-            bytes_per_s,
-            demanders,
-        } => format!(
-            r#"{{"tag":"{tag}","t0":{},"t1":{},"bytes_per_s":{},"demanders":{}}}"#,
-            num(*t0),
-            num(*t1),
-            num(*bytes_per_s),
-            demanders
-        ),
-        Event::DramContentionOpen { t, demanders } => format!(
-            r#"{{"tag":"{tag}","t":{},"demanders":{}}}"#,
-            num(*t),
-            demanders
-        ),
-        Event::DramContentionClose { t } => {
-            format!(r#"{{"tag":"{tag}","t":{}}}"#, num(*t))
-        }
-        Event::SensorSample { t, watts, rate_hz } => format!(
-            r#"{{"tag":"{tag}","t":{},"watts":{},"rate_hz":{}}}"#,
-            num(*t),
-            num(*watts),
-            num(*rate_hz)
-        ),
-        Event::SensorRateSwitch { t, rate_hz } => format!(
-            r#"{{"tag":"{tag}","t":{},"rate_hz":{}}}"#,
-            num(*t),
-            num(*rate_hz)
-        ),
-        Event::ThresholdCross {
-            t,
-            watts,
-            threshold_w,
-            rising,
-        } => format!(
-            r#"{{"tag":"{tag}","t":{},"watts":{},"threshold_w":{},"rising":{}}}"#,
-            num(*t),
-            num(*watts),
-            num(*threshold_w),
-            rising
-        ),
-        Event::Finding {
-            t,
-            checker,
-            severity,
-            kernel,
-            message,
-        } => format!(
-            r#"{{"tag":"{tag}","t":{},"checker":"{}","severity":"{}","kernel":"{}","message":"{}"}}"#,
-            num(*t),
-            esc(checker),
-            esc(severity),
-            esc(kernel),
-            esc(message)
-        ),
-        Event::CacheLookup { t, key, hit, disk } => format!(
-            r#"{{"tag":"{tag}","t":{},"key":"{}","hit":{},"disk":{}}}"#,
-            num(*t),
-            esc(key),
-            hit,
-            disk
-        ),
-        Event::CampaignProgress { t, done, total } => format!(
-            r#"{{"tag":"{tag}","t":{},"done":{},"total":{}}}"#,
-            num(*t),
-            done,
-            total
-        ),
-        Event::ClassEnergy { t, class, energy_j } => format!(
-            r#"{{"tag":"{tag}","t":{},"class":"{}","energy_j":{}}}"#,
-            num(*t),
-            esc(class),
-            num(*energy_j)
-        ),
-    }
-}
-
-/// Render an event stream as JSONL, one event per line.
+/// Render an event stream as JSONL: each event's [`Event::to_json`], one
+/// per line.
 pub fn jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for ev in events {
-        out.push_str(&event_to_jsonl(ev));
+        out.push_str(&ev.to_json().dump());
         out.push('\n');
     }
     out
@@ -473,378 +457,45 @@ fn csv_field(s: &str) -> String {
     }
 }
 
-/// Render an event stream as CSV with the [`CSV_HEADER`] columns; cells that
-/// do not apply to an event kind are left empty.
+/// Render an event stream as CSV with the [`CSV_HEADER`] columns, filled
+/// from [`Event::to_json`] by key; cells that do not apply to an event
+/// kind are left empty.
 pub fn csv(events: &[Event]) -> String {
+    let columns: Vec<&str> = CSV_HEADER.split(',').collect();
     let mut out = String::from(CSV_HEADER);
     out.push('\n');
     for ev in events {
-        // Column order must match CSV_HEADER.
-        let mut cols: [String; 33] = std::array::from_fn(|_| String::new());
-        cols[0] = ev.tag().to_string();
-        cols[1] = num(ev.time());
-        match ev {
-            Event::ConfigSnapshot {
-                core_mhz,
-                mem_mhz,
-                ecc,
-                ..
-            } => {
-                cols[21] = num(*core_mhz);
-                cols[22] = num(*mem_mhz);
-                cols[23] = ecc.to_string();
-            }
-            Event::KernelLaunch {
-                launch,
-                name,
-                grid,
-                block_threads,
-                ..
-            } => {
-                cols[3] = launch.to_string();
-                cols[4] = csv_field(name);
-                cols[5] = grid.to_string();
-                cols[6] = block_threads.to_string();
-            }
-            Event::KernelRetire {
-                launch,
-                duration_s,
-                energy_j,
-                ..
-            } => {
-                cols[3] = launch.to_string();
-                cols[15] = num(*duration_s);
-                cols[16] = num(*energy_j);
-            }
-            Event::BlockDispatch {
-                launch,
-                block,
-                sm,
-                slot,
-                ..
-            } => {
-                cols[3] = launch.to_string();
-                cols[7] = block.to_string();
-                cols[8] = sm.to_string();
-                cols[9] = slot.to_string();
-            }
-            Event::BlockComplete {
-                launch, block, sm, ..
-            } => {
-                cols[3] = launch.to_string();
-                cols[7] = block.to_string();
-                cols[8] = sm.to_string();
-            }
-            Event::SmInterval {
-                t1,
-                sm,
-                watts,
-                issue_frac,
-                resident,
-                ..
-            } => {
-                cols[2] = num(*t1);
-                cols[8] = sm.to_string();
-                cols[10] = num(*watts);
-                cols[11] = num(*issue_frac);
-                cols[12] = resident.to_string();
-            }
-            Event::BoardInterval {
-                t1, watts, phase, ..
-            } => {
-                cols[2] = num(*t1);
-                cols[10] = num(*watts);
-                cols[20] = phase.name().to_string();
-            }
-            Event::DramInterval {
-                t1,
-                bytes_per_s,
-                demanders,
-                ..
-            } => {
-                cols[2] = num(*t1);
-                cols[13] = num(*bytes_per_s);
-                cols[14] = demanders.to_string();
-            }
-            Event::DramContentionOpen { demanders, .. } => {
-                cols[14] = demanders.to_string();
-            }
-            Event::DramContentionClose { .. } => {}
-            Event::SensorSample { watts, rate_hz, .. } => {
-                cols[10] = num(*watts);
-                cols[17] = num(*rate_hz);
-            }
-            Event::SensorRateSwitch { rate_hz, .. } => {
-                cols[17] = num(*rate_hz);
-            }
-            Event::ThresholdCross {
-                watts,
-                threshold_w,
-                rising,
-                ..
-            } => {
-                cols[10] = num(*watts);
-                cols[18] = num(*threshold_w);
-                cols[19] = rising.to_string();
-            }
-            Event::Finding {
-                checker,
-                severity,
-                kernel,
-                message,
-                ..
-            } => {
-                cols[4] = csv_field(kernel);
-                cols[24] = csv_field(checker);
-                cols[25] = csv_field(severity);
-                cols[26] = csv_field(message);
-            }
-            Event::CacheLookup { key, hit, disk, .. } => {
-                cols[27] = csv_field(key);
-                cols[28] = hit.to_string();
-                cols[29] = disk.to_string();
-            }
-            Event::CampaignProgress { done, total, .. } => {
-                cols[30] = done.to_string();
-                cols[31] = total.to_string();
-            }
-            Event::ClassEnergy {
-                class, energy_j, ..
-            } => {
-                cols[16] = num(*energy_j);
-                cols[32] = csv_field(class);
+        let mut cells = vec![String::new(); columns.len()];
+        if let Json::Obj(fields) = ev.to_json() {
+            for (key, value) in fields {
+                // Intervals start in the `t` column; a finding's kernel
+                // shares the `name` column with a launch's.
+                let column = match key.as_str() {
+                    "t0" => "t",
+                    "kernel" => "name",
+                    key => key,
+                };
+                let i = columns
+                    .iter()
+                    .position(|c| *c == column)
+                    .expect("every event field has a CSV column");
+                cells[i] = match value {
+                    Json::Str(s) => csv_field(&s),
+                    value => value.dump(),
+                };
             }
         }
-        out.push_str(&cols.join(","));
+        out.push_str(&cells.join(","));
         out.push('\n');
     }
     out
 }
 
-// ---------------------------------------------------------------------------
-// JSONL parsing (round-trip support)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum JVal {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-}
-
-/// Parse one flat JSON object (string/number/bool values only — exactly the
-/// shape [`event_to_jsonl`] emits). Returns `None` on malformed input.
-fn parse_flat_object(line: &str) -> Option<Vec<(String, JVal)>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut out = Vec::new();
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars>) {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-    }
-
-    fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<String> {
-        if chars.next()? != '"' {
-            return None;
-        }
-        let mut s = String::new();
-        loop {
-            match chars.next()? {
-                '"' => return Some(s),
-                '\\' => match chars.next()? {
-                    '"' => s.push('"'),
-                    '\\' => s.push('\\'),
-                    '/' => s.push('/'),
-                    'n' => s.push('\n'),
-                    'r' => s.push('\r'),
-                    't' => s.push('\t'),
-                    'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            code = code * 16 + chars.next()?.to_digit(16)?;
-                        }
-                        s.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                c => s.push(c),
-            }
-        }
-    }
-
-    skip_ws(&mut chars);
-    if chars.next()? != '{' {
-        return None;
-    }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return Some(out);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let val = match chars.peek()? {
-            '"' => JVal::Str(parse_string(&mut chars)?),
-            't' | 'f' => {
-                let mut word = String::new();
-                while matches!(chars.peek(), Some(c) if c.is_ascii_alphabetic()) {
-                    word.push(chars.next().unwrap());
-                }
-                match word.as_str() {
-                    "true" => JVal::Bool(true),
-                    "false" => JVal::Bool(false),
-                    _ => return None,
-                }
-            }
-            _ => {
-                let mut numtxt = String::new();
-                while matches!(chars.peek(), Some(c) if "+-0123456789.eE".contains(*c)) {
-                    numtxt.push(chars.next().unwrap());
-                }
-                JVal::Num(numtxt.parse().ok()?)
-            }
-        };
-        out.push((key, val));
-        skip_ws(&mut chars);
-        match chars.next()? {
-            ',' => continue,
-            '}' => break,
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Parse one JSONL line produced by [`event_to_jsonl`] back into an
-/// [`Event`]. Returns `None` for malformed lines or unknown tags.
-pub fn event_from_jsonl(line: &str) -> Option<Event> {
-    let fields = parse_flat_object(line)?;
-    let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-    let f = |k: &str| match get(k)? {
-        JVal::Num(x) => Some(*x),
-        _ => None,
-    };
-    let s = |k: &str| match get(k)? {
-        JVal::Str(x) => Some(x.clone()),
-        _ => None,
-    };
-    let b = |k: &str| match get(k)? {
-        JVal::Bool(x) => Some(*x),
-        _ => None,
-    };
-    let u32of = |k: &str| f(k).map(|x| x as u32);
-    let u16of = |k: &str| f(k).map(|x| x as u16);
-
-    Some(match s("tag")?.as_str() {
-        "config" => Event::ConfigSnapshot {
-            t: f("t")?,
-            core_mhz: f("core_mhz")?,
-            mem_mhz: f("mem_mhz")?,
-            ecc: b("ecc")?,
-        },
-        "kernel_launch" => Event::KernelLaunch {
-            t: f("t")?,
-            launch: u32of("launch")?,
-            name: s("name")?,
-            grid: u32of("grid")?,
-            block_threads: u32of("block_threads")?,
-        },
-        "kernel_retire" => Event::KernelRetire {
-            t: f("t")?,
-            launch: u32of("launch")?,
-            duration_s: f("duration_s")?,
-            energy_j: f("energy_j")?,
-        },
-        "block_dispatch" => Event::BlockDispatch {
-            t: f("t")?,
-            launch: u32of("launch")?,
-            block: u32of("block")?,
-            sm: u16of("sm")?,
-            slot: u16of("slot")?,
-        },
-        "block_complete" => Event::BlockComplete {
-            t: f("t")?,
-            launch: u32of("launch")?,
-            block: u32of("block")?,
-            sm: u16of("sm")?,
-        },
-        "sm_interval" => Event::SmInterval {
-            t0: f("t0")?,
-            t1: f("t1")?,
-            sm: u16of("sm")?,
-            watts: f("watts")?,
-            issue_frac: f("issue_frac")?,
-            resident: u16of("resident")?,
-        },
-        "board_interval" => Event::BoardInterval {
-            t0: f("t0")?,
-            t1: f("t1")?,
-            watts: f("watts")?,
-            phase: BoardPhase::from_name(&s("phase")?)?,
-        },
-        "dram_interval" => Event::DramInterval {
-            t0: f("t0")?,
-            t1: f("t1")?,
-            bytes_per_s: f("bytes_per_s")?,
-            demanders: u16of("demanders")?,
-        },
-        "dram_contention_open" => Event::DramContentionOpen {
-            t: f("t")?,
-            demanders: u16of("demanders")?,
-        },
-        "dram_contention_close" => Event::DramContentionClose { t: f("t")? },
-        "sensor_sample" => Event::SensorSample {
-            t: f("t")?,
-            watts: f("watts")?,
-            rate_hz: f("rate_hz")?,
-        },
-        "sensor_rate_switch" => Event::SensorRateSwitch {
-            t: f("t")?,
-            rate_hz: f("rate_hz")?,
-        },
-        "threshold_cross" => Event::ThresholdCross {
-            t: f("t")?,
-            watts: f("watts")?,
-            threshold_w: f("threshold_w")?,
-            rising: b("rising")?,
-        },
-        "finding" => Event::Finding {
-            t: f("t")?,
-            checker: s("checker")?,
-            severity: s("severity")?,
-            kernel: s("kernel")?,
-            message: s("message")?,
-        },
-        "cache_lookup" => Event::CacheLookup {
-            t: f("t")?,
-            key: s("key")?,
-            hit: b("hit")?,
-            disk: b("disk")?,
-        },
-        "campaign_progress" => Event::CampaignProgress {
-            t: f("t")?,
-            done: u32of("done")?,
-            total: u32of("total")?,
-        },
-        "class_energy" => Event::ClassEnergy {
-            t: f("t")?,
-            class: s("class")?,
-            energy_j: f("energy_j")?,
-        },
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::BoardPhase;
+    use crate::json;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -946,43 +597,121 @@ mod tests {
         ]
     }
 
+    // `sample_events()` as each exporter writes it.
+    const JSONL: &str = r##"{"tag":"config","t":0,"core_mhz":705,"mem_mhz":2600,"ecc":true}
+{"tag":"kernel_launch","t":3,"launch":0,"name":"bfs \"frontier\"","grid":64,"block_threads":256}
+{"tag":"block_dispatch","t":3,"launch":0,"block":0,"sm":2,"slot":1}
+{"tag":"sm_interval","t0":3,"t1":3.25,"sm":2,"watts":7.5,"issue_frac":0.875,"resident":1}
+{"tag":"board_interval","t0":3,"t1":3.25,"watts":60,"phase":"kernel_static"}
+{"tag":"dram_interval","t0":3,"t1":3.25,"bytes_per_s":150000000000,"demanders":2}
+{"tag":"dram_contention_open","t":3,"demanders":2}
+{"tag":"block_complete","t":3.25,"launch":0,"block":0,"sm":2}
+{"tag":"dram_contention_close","t":3.25}
+{"tag":"kernel_retire","t":3.25,"launch":0,"duration_s":0.25,"energy_j":16.875}
+{"tag":"sensor_sample","t":3.2,"watts":66.2,"rate_hz":10}
+{"tag":"sensor_rate_switch","t":3.1,"rate_hz":10}
+{"tag":"threshold_cross","t":3.05,"watts":66,"threshold_w":40,"rising":true}
+{"tag":"finding","t":3.1,"checker":"race-global","severity":"warning","kernel":"bfs \"frontier\"","message":"write/write on dist[3], blocks 0 and 7"}
+{"tag":"cache_lookup","t":4,"key":"v1|lbfs@k5|entire USA#n1m2a0x0s0|cfg=default|rep=0","hit":true,"disk":true}
+{"tag":"campaign_progress","t":4.1,"done":17,"total":136}
+{"tag":"class_energy","t":9,"class":"ldst","energy_j":123.456}
+"##;
+    const CSV: &str = r##"tag,t,t1,launch,name,grid,block_threads,block,sm,slot,watts,issue_frac,resident,bytes_per_s,demanders,duration_s,energy_j,rate_hz,threshold_w,rising,phase,core_mhz,mem_mhz,ecc,checker,severity,message,key,hit,disk,done,total,class
+config,0,,,,,,,,,,,,,,,,,,,,705,2600,true,,,,,,,,,
+kernel_launch,3,,0,"bfs ""frontier""",64,256,,,,,,,,,,,,,,,,,,,,,,,,,,
+block_dispatch,3,,0,,,,0,2,1,,,,,,,,,,,,,,,,,,,,,,,
+sm_interval,3,3.25,,,,,,2,,7.5,0.875,1,,,,,,,,,,,,,,,,,,,,
+board_interval,3,3.25,,,,,,,,60,,,,,,,,,,kernel_static,,,,,,,,,,,,
+dram_interval,3,3.25,,,,,,,,,,,150000000000,2,,,,,,,,,,,,,,,,,,
+dram_contention_open,3,,,,,,,,,,,,,2,,,,,,,,,,,,,,,,,,
+block_complete,3.25,,0,,,,0,2,,,,,,,,,,,,,,,,,,,,,,,,
+dram_contention_close,3.25,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,
+kernel_retire,3.25,,0,,,,,,,,,,,,0.25,16.875,,,,,,,,,,,,,,,,
+sensor_sample,3.2,,,,,,,,,66.2,,,,,,,10,,,,,,,,,,,,,,,
+sensor_rate_switch,3.1,,,,,,,,,,,,,,,,10,,,,,,,,,,,,,,,
+threshold_cross,3.05,,,,,,,,,66,,,,,,,,40,true,,,,,,,,,,,,,
+finding,3.1,,,"bfs ""frontier""",,,,,,,,,,,,,,,,,,,,race-global,warning,"write/write on dist[3], blocks 0 and 7",,,,,,
+cache_lookup,4,,,,,,,,,,,,,,,,,,,,,,,,,,v1|lbfs@k5|entire USA#n1m2a0x0s0|cfg=default|rep=0,true,true,,,
+campaign_progress,4.1,,,,,,,,,,,,,,,,,,,,,,,,,,,,,17,136,
+class_energy,9,,,,,,,,,,,,,,,123.456,,,,,,,,,,,,,,,,ldst
+"##;
+    const CHROME: &str = r##"{"displayTimeUnit":"ms","traceEvents":[
+{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"kepler-sim"}},
+{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"kernels"}},
+{"ph":"i","s":"g","pid":0,"tid":0,"ts":0,"name":"config","args":{"core_mhz":705,"mem_mhz":2600,"ecc":true}},
+{"ph":"M","pid":0,"tid":3,"name":"thread_name","args":{"name":"SM 2"}},
+{"ph":"C","pid":0,"tid":0,"ts":3000000,"name":"SM 2 power (W)","args":{"watts":7.5}},
+{"ph":"C","pid":0,"tid":0,"ts":3000000,"name":"SM 2 occupancy","args":{"resident":1,"issue_frac":0.875}},
+{"ph":"C","pid":0,"tid":0,"ts":3000000,"name":"board power (W)","args":{"watts":60,"phase":"kernel_static"}},
+{"ph":"C","pid":0,"tid":0,"ts":3000000,"name":"DRAM bandwidth (GB/s)","args":{"gbps":150,"demanders":2}},
+{"ph":"i","s":"g","pid":0,"tid":0,"ts":3000000,"name":"dram contention open","args":{"demanders":2}},
+{"ph":"X","pid":0,"tid":3,"ts":3000000,"dur":250000,"name":"block 0","args":{"launch":0}},
+{"ph":"i","s":"g","pid":0,"tid":0,"ts":3250000,"name":"dram contention close","args":{}},
+{"ph":"X","pid":0,"tid":0,"ts":3000000,"dur":250000,"name":"bfs \"frontier\"","args":{"launch":0,"energy_j":16.875}},
+{"ph":"C","pid":0,"tid":0,"ts":3200000,"name":"sensor (W)","args":{"watts":66.2,"rate_hz":10}},
+{"ph":"i","s":"g","pid":0,"tid":0,"ts":3100000,"name":"sensor rate switch","args":{"rate_hz":10}},
+{"ph":"i","s":"g","pid":0,"tid":0,"ts":3050000,"name":"threshold rise","args":{"watts":66,"threshold_w":40}},
+{"ph":"i","s":"g","pid":0,"tid":0,"ts":3100000,"name":"finding: race-global","args":{"severity":"warning","kernel":"bfs \"frontier\"","message":"write/write on dist[3], blocks 0 and 7"}},
+{"ph":"i","s":"g","pid":0,"tid":0,"ts":4000000,"name":"cache hit","args":{"key":"v1|lbfs@k5|entire USA#n1m2a0x0s0|cfg=default|rep=0","disk":true}},
+{"ph":"C","pid":0,"tid":0,"ts":4099999.9999999995,"name":"campaign progress","args":{"done":17,"total":136}},
+{"ph":"i","s":"g","pid":0,"tid":0,"ts":9000000,"name":"class energy: ldst","args":{"energy_j":123.456}}
+]}
+"##;
+
+    /// Every variant's export text is pinned byte for byte.
+    #[test]
+    fn exports_are_pinned_for_every_variant() {
+        let evs = sample_events();
+        assert_eq!(jsonl(&evs), JSONL);
+        assert_eq!(csv(&evs), CSV);
+        assert_eq!(chrome_trace(&evs), CHROME);
+    }
+
+    /// Each event's JSONL line parses back, through the codec, to its
+    /// field list, `tag` first.
     #[test]
     fn jsonl_round_trips_every_variant() {
         for ev in sample_events() {
-            let line = event_to_jsonl(&ev);
-            let back =
-                event_from_jsonl(&line).unwrap_or_else(|| panic!("failed to parse back: {line}"));
-            assert_eq!(back, ev, "round-trip mismatch for {line}");
+            let doc = jsonl(std::slice::from_ref(&ev));
+            let line = doc.strip_suffix('\n').unwrap();
+            let back = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(back, ev.to_json(), "round-trip mismatch for {line}");
+            let Json::Obj(fields) = back else {
+                panic!("not an object: {line}")
+            };
+            assert_eq!(fields[0], ("tag".into(), Json::str(ev.tag())));
         }
     }
 
+    /// A whole JSONL document holds one line per event, in order, each
+    /// parsing back to that event's field list.
     #[test]
     fn jsonl_document_round_trips() {
         let evs = sample_events();
         let doc = jsonl(&evs);
-        let back: Vec<Event> = doc.lines().map(|l| event_from_jsonl(l).unwrap()).collect();
-        assert_eq!(back, evs);
+        let back: Vec<Json> = doc
+            .lines()
+            .map(|l| json::parse(l).unwrap_or_else(|e| panic!("{l}: {e}")))
+            .collect();
+        let want: Vec<Json> = evs.iter().map(Event::to_json).collect();
+        assert_eq!(back, want);
     }
 
     #[test]
     fn jsonl_escapes_and_unescapes_names() {
+        let name = "odd \"name\"\twith\\stuff\n";
         let ev = Event::KernelLaunch {
             t: 0.0,
             launch: 1,
-            name: "odd \"name\"\twith\\stuff\n".into(),
+            name: name.into(),
             grid: 1,
             block_threads: 32,
         };
-        let line = event_to_jsonl(&ev);
+        let line = jsonl(&[ev]);
+        let line = line.strip_suffix('\n').unwrap();
         assert!(!line.contains('\n'), "JSONL line must be newline-free");
-        assert_eq!(event_from_jsonl(&line), Some(ev));
-    }
-
-    #[test]
-    fn jsonl_rejects_garbage() {
-        assert_eq!(event_from_jsonl("not json"), None);
-        assert_eq!(event_from_jsonl("{\"tag\":\"unknown_tag\",\"t\":0}"), None);
-        assert_eq!(event_from_jsonl("{\"tag\":\"kernel_retire\"}"), None);
+        let back = json::parse(line).unwrap();
+        assert_eq!(back.get("name").and_then(Json::as_str), Some(name));
     }
 
     #[test]
@@ -1007,20 +736,20 @@ mod tests {
         assert!(doc.contains(r#""ts":3000000,"dur":250000"#));
     }
 
+    /// The document parses with the codec, and so does each row on its
+    /// own line: one object per line between the framing lines.
     #[test]
     fn chrome_trace_rows_are_valid_flat_json() {
-        // Every emitted row should at least tokenize as a flat object as far
-        // as our parser is concerned, except rows with nested args — so
-        // instead check balanced braces and that each row parses as JSON-ish:
         let doc = chrome_trace(&sample_events());
-        for line in doc.lines() {
+        let parsed = json::parse(&doc).unwrap_or_else(|e| panic!("{e}"));
+        let rows = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let lines: Vec<&str> = doc.lines().collect();
+        assert_eq!(rows.len(), lines.len() - 2);
+        for (line, row) in lines[1..lines.len() - 1].iter().zip(rows) {
             let line = line.trim_end_matches(',');
-            if line.starts_with('{') && line.ends_with('}') {
-                let opens = line.matches('{').count();
-                let closes = line.matches('}').count();
-                assert_eq!(opens, closes, "unbalanced braces in {line}");
-                assert_eq!(line.matches('"').count() % 2, 0, "odd quotes in {line}");
-            }
+            let back = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(&back, row, "row differs from the document's: {line}");
+            assert!(row.get("ph").is_some(), "row without a phase: {line}");
         }
     }
 

@@ -1,8 +1,10 @@
 //! A minimal JSON value, parser and serializer.
 //!
 //! The workspace builds fully offline (serde is an API shim — see
-//! `vendor/README.md`), so the service hand-rolls the little JSON it
-//! needs. Two properties matter more than generality:
+//! `vendor/README.md`), so it hand-rolls the little JSON it needs: the
+//! `sim-serve` HTTP bodies, the telemetry exports and the sanitizer and
+//! analyzer reports all go through this one codec. Two properties matter
+//! more than generality:
 //!
 //! * **Determinism** — objects keep insertion order and numbers format
 //!   through one code path, so identical results serialize to identical

@@ -25,25 +25,32 @@
 //!   and board-level interval energy reproduces `PowerTrace::total_energy`
 //!   to float precision, because both integrate the same intervals).
 //! * [`export`] — Chrome Trace Event JSON (loadable in `chrome://tracing`
-//!   or `ui.perfetto.dev`), JSONL (round-trippable via
-//!   [`export::event_from_jsonl`]), and CSV.
+//!   or `ui.perfetto.dev`), JSONL and CSV. Each event has one field list,
+//!   [`Event::to_json`], that JSONL and CSV share. The exports are
+//!   write-only: nothing reads JSONL back into events.
+//! * [`json`] — the workspace's one JSON codec: a fuzzed RFC 8259 parser
+//!   and a deterministic writer. The exporters, the sanitizer and analyzer
+//!   reports and the `sim-serve` HTTP layer all write JSON through it.
 //! * [`subscribe`] — a [`FanoutSink`] broadcasting live events to bounded
 //!   per-consumer channels, for long-running consumers (the `sim-serve`
 //!   HTTP layer streams `CampaignProgress` to clients through one).
 //!
 //! The crate is dependency-free and sits *below* `gpower`/`kepler-sim` so
 //! both can emit events without a dependency cycle; it therefore speaks in
-//! plain numbers (seconds, watts) rather than simulator types.
+//! plain numbers (seconds, watts) rather than simulator types. Being at the
+//! bottom of the graph is also why the JSON codec lives here: every crate
+//! that writes JSON already links this one.
 
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod ring;
 pub mod sink;
 pub mod subscribe;
 pub mod timeline;
 
 pub use event::{BoardPhase, Event};
-pub use export::{chrome_trace, csv, event_from_jsonl, event_to_jsonl, jsonl, CSV_HEADER};
+pub use export::{chrome_trace, csv, jsonl, CSV_HEADER};
 pub use ring::EventTrace;
 pub use sink::{NoopSink, TelemetrySink};
 pub use subscribe::{FanoutSink, Subscription};
