@@ -13,9 +13,11 @@
 //! three (the shapes are identical; only Table 2's variability needs the
 //! full three, which it always uses).
 //!
-//! `--jobs N` sets the worker-pool size for the simulator's pre-executed
-//! launches (default: one worker per core). Purely a wall-clock knob —
-//! results are bit-identical for every N; see `docs/CAMPAIGN.md`.
+//! `--jobs N` caps the shard workers of each of the simulator's
+//! pre-executed launches (default: one per core); a launch shards only
+//! onto cores that no other launch is running blocks on. Purely a
+//! wall-clock knob — results are bit-identical for every N; see
+//! `docs/CAMPAIGN.md`.
 //!
 //! All requested artifacts draw from one shared measurement campaign: the
 //! union of their run matrices is deduplicated and executed exactly once,

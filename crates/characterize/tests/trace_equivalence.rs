@@ -163,12 +163,19 @@ fn recorded_traces_replay_bit_identically_across_configs() {
         }
         // The regular majority of the registry must opt in; losing
         // eligibility wholesale would silently turn every campaign back
-        // into functional re-runs.
+        // into functional re-runs. The programs whose reductions or
+        // own-element kernels opted in last must stay eligible too.
         assert!(
-            eligible.len() >= 15,
+            eligible.len() >= 19,
             "{recording}: only {} programs recorded traces (eligible: {eligible:?}, ineligible: {ineligible:?})",
             eligible.len()
         );
+        for key in ["qtc", "tpacf", "md", "mum"] {
+            assert!(
+                eligible.contains(&key),
+                "{recording}: {key} recorded no trace (ineligible: {ineligible:?})"
+            );
+        }
     }
 }
 

@@ -33,6 +33,10 @@ pub enum AccessKind {
     /// Atomic read-modify-write (including CAS). Counts as both a read and
     /// a write, but two atomics to the same word never race.
     Atomic,
+    /// Reduction (`red`): an atomic update whose old value the thread
+    /// never sees. Races like an [`AccessKind::Atomic`]; reported apart
+    /// so a declared reduce span admits reductions and nothing else.
+    Reduce,
 }
 
 /// One observed per-thread memory access.

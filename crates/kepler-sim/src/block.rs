@@ -9,7 +9,7 @@
 //! instructions by [`crate::warp`].
 
 use crate::access::{Access, AccessEvent, AccessKind, AccessObserver, MemSpace};
-use crate::buffer::{DevBuffer, DevCopy, GlobalMem};
+use crate::buffer::{DevBuffer, DevCopy, GlobalMem, RedOp};
 use crate::cost::BlockCost;
 use crate::mem::{CacheConfig, CacheSim};
 use crate::ops::{CompClass, Op};
@@ -500,6 +500,43 @@ impl<'b, 'a> ThreadCtx<'b, 'a> {
             self.blk.mem.store(buf, idx, val);
         }
         old
+    }
+
+    // ---- global reductions ----
+
+    /// `red.global.add.u32`: add `v` to a `u32` word, returning nothing.
+    pub fn red_add_u32(&mut self, buf: &DevBuffer<u32>, idx: usize, v: u32) {
+        self.red(buf, idx, RedOp::Add, v);
+    }
+
+    /// `red.global.max.u32`: raise a `u32` word to at least `v`, returning
+    /// nothing.
+    pub fn red_max_u32(&mut self, buf: &DevBuffer<u32>, idx: usize, v: u32) {
+        self.red(buf, idx, RedOp::Max, v);
+    }
+
+    /// A reduction costs what an atomic costs, but the thread never sees
+    /// the old value, so a `parallel_safe` launch may reduce into words
+    /// its other blocks reduce into: a sharded pre-execution logs each
+    /// shard's reductions and folds them after the shard patches.
+    fn red(&mut self, buf: &DevBuffer<u32>, idx: usize, op: RedOp, v: u32) {
+        self.push(Op::GAtom {
+            addr: buf.addr_of(idx),
+        });
+        let oob = idx >= buf.len;
+        self.observe(
+            MemSpace::Global,
+            AccessKind::Reduce,
+            buf.id as u32,
+            idx as u64,
+            buf.addr_of(idx),
+            4,
+            oob,
+        );
+        if oob && self.sanitized() {
+            return;
+        }
+        self.blk.mem.reduce(buf, idx, op, v);
     }
 
     // ---- shared memory ----

@@ -128,25 +128,56 @@ impl Bits for i32 {
     }
 }
 
-/// A launch's global-memory write effects as a patch against the
-/// pre-launch image: runs of changed elements, in order, plus the runs'
-/// new element bits. Sharded pre-execution diffs each shard into one;
-/// applying one to the image it was diffed against reproduces the
-/// post-launch image bit for bit.
+/// An integer reduction (PTX `red`): combines a value into a `u32`
+/// element and returns nothing. Add and max commute and associate exactly,
+/// so reductions into one element give the same result in any order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RedOp {
+    Add,
+    Max,
+}
+
+impl RedOp {
+    fn apply(self, old: u32, v: u32) -> u32 {
+        match self {
+            RedOp::Add => old.wrapping_add(v),
+            RedOp::Max => old.max(v),
+        }
+    }
+}
+
+/// One logged reduction: `op` of `v` into element `idx` of `slot`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Red {
+    slot: usize,
+    idx: usize,
+    op: RedOp,
+    v: u32,
+}
+
+/// A launch's global-memory effects as a patch against the pre-launch
+/// image: runs of changed elements, in order, plus the runs' new element
+/// bits, plus the reductions the launch logged. Sharded pre-execution
+/// diffs each shard into one; applying one to the image it was diffed
+/// against reproduces the post-launch image bit for bit.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct Patch {
     /// `(slot, start, len)` per run.
     runs: Vec<(usize, usize, usize)>,
     /// The runs' new element bits, concatenated in run order.
     bits: Vec<u32>,
+    /// Reductions, folded onto the image after every run is written.
+    reds: Vec<Red>,
 }
 
 impl Patch {
-    /// Append `later`'s runs. Applying the result applies `self`, then
-    /// `later`, so where both write an element `later` wins.
+    /// Append `later`'s runs and reductions. Applying the result applies
+    /// `self`'s runs, then `later`'s, so where both write an element
+    /// `later` wins; then it folds every reduction.
     pub(crate) fn append(&mut self, mut later: Patch) {
         self.runs.append(&mut later.runs);
         self.bits.append(&mut later.bits);
+        self.reds.append(&mut later.reds);
     }
 
     /// Append the runs where `after` differs bitwise from `before`
@@ -176,6 +207,9 @@ fn write_run<T: Bits>(dst: &mut [T], start: usize, bits: &[u32]) {
 pub struct GlobalMem {
     slots: Vec<Slot>,
     next_base: u64,
+    /// Reductions logged instead of applied, on a shard image (see
+    /// [`GlobalMem::defer_reductions`]).
+    deferred: Option<Vec<Red>>,
 }
 
 const BASE_ALIGN: u64 = 256;
@@ -185,6 +219,7 @@ impl GlobalMem {
         Self {
             slots: Vec::new(),
             next_base: BASE_ALIGN,
+            deferred: None,
         }
     }
 
@@ -239,6 +274,26 @@ impl GlobalMem {
         self.vec_mut(buf)[idx] = v;
     }
 
+    /// Reduce `v` into element `idx` with `op`, or log the reduction when
+    /// this image defers them.
+    pub(crate) fn reduce(&mut self, buf: &DevBuffer<u32>, idx: usize, op: RedOp, v: u32) {
+        match &mut self.deferred {
+            Some(log) => {
+                assert!(idx < buf.len, "reduction past the end of a buffer");
+                log.push(Red {
+                    slot: buf.id,
+                    idx,
+                    op,
+                    v,
+                });
+            }
+            None => {
+                let e = &mut self.vec_mut(buf)[idx];
+                *e = op.apply(*e, v);
+            }
+        }
+    }
+
     /// Total bytes currently allocated (for tests/reporting).
     pub fn allocated_bytes(&self) -> u64 {
         self.next_base - BASE_ALIGN
@@ -262,7 +317,15 @@ impl GlobalMem {
         Some(GlobalMem {
             slots,
             next_base: self.next_base,
+            deferred: None,
         })
+    }
+
+    /// Log this image's reductions instead of applying them. A shard of a
+    /// launch defers its reductions, so its diff ([`GlobalMem::diff`])
+    /// carries them for the fold instead of a partial sum in place.
+    pub(crate) fn defer_reductions(&mut self) {
+        self.deferred = Some(Vec::new());
     }
 
     /// 128-bit content fingerprint of the whole memory image (slot types,
@@ -309,10 +372,14 @@ impl GlobalMem {
     }
 
     /// The patch that turns `self` into `after`, a typed clone of `self`
-    /// (see [`GlobalMem::try_clone`]) that a launch then wrote to.
+    /// (see [`GlobalMem::try_clone`]) that a launch then wrote to, with
+    /// the reductions `after` deferred.
     pub(crate) fn diff(&self, after: &GlobalMem) -> Patch {
         debug_assert_eq!(self.slots.len(), after.slots.len());
-        let mut patch = Patch::default();
+        let mut patch = Patch {
+            reds: after.deferred.clone().unwrap_or_default(),
+            ..Patch::default()
+        };
         for (slot, pair) in self.slots.iter().zip(&after.slots).enumerate() {
             match pair {
                 (Slot::U32(a), Slot::U32(b)) => patch.diff_slice(slot, a, b),
@@ -324,7 +391,7 @@ impl GlobalMem {
         patch
     }
 
-    /// Write a patch's runs in place (replaying a cached launch's writes).
+    /// Write a patch's runs in place, then fold its reductions.
     pub(crate) fn apply(&mut self, patch: &Patch) {
         let mut bits = &patch.bits[..];
         for &(slot, start, len) in &patch.runs {
@@ -335,6 +402,12 @@ impl GlobalMem {
                 Slot::F32(v) => write_run(v, start, run),
                 Slot::I32(v) => write_run(v, start, run),
                 Slot::Other(_) => unreachable!("patches cover typed slots only"),
+            }
+        }
+        for r in &patch.reds {
+            match &mut self.slots[r.slot] {
+                Slot::U32(v) => v[r.idx] = r.op.apply(v[r.idx], r.v),
+                _ => unreachable!("reductions target u32 buffers"),
             }
         }
     }
@@ -515,6 +588,30 @@ mod tests {
         let got = base.slice(&v);
         assert_eq!(got[..3], [1.0, 3.0, 0.0]);
         assert!(got[3] == 0.0 && got[3].is_sign_negative(), "keeps -0.0");
+    }
+
+    #[test]
+    fn deferred_reductions_fold_after_the_runs() {
+        let mut base = GlobalMem::new();
+        let bins = base.alloc_from(&[10u32, 0]);
+        let out = base.alloc_from(&[0u32; 2]);
+        // Two shards reduce into both bins and write their own element.
+        let mut writes = Patch::default();
+        for (shard, v) in [(0usize, 5u32), (1, 7)] {
+            let mut m = base.try_clone().unwrap();
+            m.defer_reductions();
+            m.reduce(&bins, 0, RedOp::Add, v);
+            m.reduce(&bins, 1, RedOp::Max, v);
+            m.store(&out, shard, v);
+            assert_eq!(m.slice(&bins), &[10, 0], "a shard logs its reductions");
+            writes.append(base.diff(&m));
+        }
+        base.apply(&writes);
+        assert_eq!(base.slice(&bins), &[22, 7]);
+        assert_eq!(base.slice(&out), &[5, 7]);
+        // Without deferral a reduction lands at once.
+        base.reduce(&bins, 0, RedOp::Add, u32::MAX);
+        assert_eq!(base.slice(&bins)[0], 21, "adds wrap");
     }
 
     mod props {

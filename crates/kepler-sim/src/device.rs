@@ -45,29 +45,78 @@ pub fn devices_replayed() -> u64 {
     DEVICES_REPLAYED.load(Ordering::Relaxed)
 }
 
-/// Worker threads used to shard pre-executed launches; 0 means "one per
-/// available core". Set once at startup from `repro --jobs`.
+/// Cap on the shards of a pre-executed launch; 0 means "one per available
+/// core". Set once at startup from `repro --jobs`.
 static EXEC_JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Set the process-default worker count for pre-executed launches
-/// (`repro --jobs N`). `0` restores the default of one worker per core.
-/// Results are bit-identical for every value — this is purely a wall-clock
-/// / CPU-occupancy knob.
+/// Set the process-default cap on the shard workers of a pre-executed
+/// launch (`repro --jobs N`). `0` restores the default of one per core.
+/// A launch takes at most as many shards as cores no other thread is
+/// running blocks on, and at least one. Results are bit-identical for
+/// every value — this is purely a wall-clock / CPU-occupancy knob.
 pub fn set_exec_jobs(n: usize) {
     EXEC_JOBS.store(n, Ordering::Relaxed);
 }
 
-/// The effective pre-execution worker count. The core count is read once:
-/// `available_parallelism` re-reads the cgroup limits on every call.
-pub fn exec_jobs() -> usize {
+/// The machine's core count, read once: `available_parallelism` re-reads
+/// the cgroup limits on every call.
+fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// The effective cap on a pre-executed launch's shards.
+pub fn exec_jobs() -> usize {
     match EXEC_JOBS.load(Ordering::Relaxed) {
-        0 => *CORES.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        }),
+        0 => cores(),
         n => n,
+    }
+}
+
+/// Shards a launch of `grid` blocks takes under the process default: the
+/// `requested` cap, limited to the `cores` that the `busy` threads already
+/// running functional blocks leave idle, at least one and at most one per
+/// block.
+fn shard_count(requested: usize, cores: usize, busy: usize, grid: u32) -> usize {
+    requested
+        .min(cores.saturating_sub(busy))
+        .clamp(1, grid as usize)
+}
+
+/// Threads running functional blocks, process-wide: one per launch whose
+/// blocks run in dispatch order, one per shard of a sharded launch.
+/// `Relaxed` suffices: the count publishes no other data, and a stale
+/// value changes how many shards a launch takes, never its result.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+/// Threads counted in [`BUSY`] until dropped.
+struct BusyThreads(usize);
+
+impl BusyThreads {
+    fn claim(n: usize) -> Self {
+        BUSY.fetch_add(n, Ordering::Relaxed);
+        Self(n)
+    }
+
+    /// Claim the shards [`shard_count`] gives a default launch of `grid`
+    /// blocks, reading and raising the count in one step.
+    fn claim_idle(grid: u32) -> Self {
+        let mut n = 1;
+        let _ = BUSY.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+            n = shard_count(exec_jobs(), cores(), busy, grid);
+            Some(busy + n)
+        });
+        Self(n)
+    }
+}
+
+impl Drop for BusyThreads {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(self.0, Ordering::Relaxed);
     }
 }
 
@@ -98,10 +147,11 @@ pub enum ExecStrategy {
     /// image, even if the kernel permits reordering.
     AtDispatch,
     /// Pre-execute the whole grid ahead of scheduling — in dispatch order
-    /// with one worker, sharded over `jobs` worker threads otherwise — and
-    /// schedule its per-block costs; a pre-executed launch is recordable
-    /// ([`crate::trace`]). Bit-identical to [`ExecStrategy::AtDispatch`]
-    /// under the `parallel_safe` contract, for any `jobs >= 1`.
+    /// with one worker, sharded over exactly `jobs` worker threads (at most
+    /// one per block) otherwise — and schedule its per-block costs; a
+    /// pre-executed launch is recordable ([`crate::trace`]). Bit-identical
+    /// to [`ExecStrategy::AtDispatch`] under the `parallel_safe` contract,
+    /// for any `jobs >= 1`.
     PreExec {
         /// Worker threads for the functional execution.
         jobs: usize,
@@ -187,7 +237,7 @@ pub struct Device {
     /// Pooled dispatch-order buffer, refilled by every launch.
     order: Vec<u32>,
     /// Per-device execution strategy override; `None` follows the process
-    /// default (`PreExec` with [`exec_jobs`] workers).
+    /// default (`PreExec` on [`shard_count`] workers).
     exec: Option<ExecStrategy>,
     /// Attached trace recorder (see [`crate::trace`]); purely passive.
     recorder: Option<Arc<crate::trace::TraceRecorder>>,
@@ -281,8 +331,9 @@ impl Device {
 
     /// Override how `parallel_safe` launches execute on this device (the
     /// equivalence tests pin both sides of the comparison with this).
-    /// Without an override the device follows the process default:
-    /// `PreExec { jobs: exec_jobs() }`.
+    /// Without an override the device follows the process default: each
+    /// launch pre-executes on [`exec_jobs`] shards at most, and on no more
+    /// than the cores that other threads' functional blocks leave idle.
     pub fn set_exec_strategy(&mut self, strategy: ExecStrategy) {
         self.exec = Some(strategy);
     }
@@ -559,16 +610,10 @@ impl Device {
         let costs: &[BlockCost] = match source {
             CostSource::Recorded(costs) => costs,
             CostSource::Kernel(kernel) => {
-                let strategy = self
-                    .exec
-                    .unwrap_or_else(|| ExecStrategy::PreExec { jobs: exec_jobs() });
-                let pre = match strategy {
-                    ExecStrategy::PreExec { jobs }
-                        if kernel.parallel_safe() && self.access.is_none() =>
-                    {
-                        self.pre_execute(kernel, &name, block_threads, &order, launch_id, jobs)
-                    }
-                    _ => None,
+                let pre = match self.exec {
+                    _ if !kernel.parallel_safe() || self.access.is_some() => None,
+                    Some(ExecStrategy::AtDispatch) => None,
+                    _ => self.pre_execute(kernel, &name, block_threads, &order, launch_id),
                 };
                 if let Some(rec) = &self.recorder {
                     match &pre {
@@ -580,7 +625,10 @@ impl Device {
                 }
                 ran = match pre {
                     Some((_, costs)) => costs,
-                    None => self.run_blocks(kernel, block_threads, &order, launch_id),
+                    None => {
+                        let _busy = BusyThreads::claim(1);
+                        self.run_blocks(kernel, block_threads, &order, launch_id)
+                    }
                 };
                 &ran
             }
@@ -654,7 +702,7 @@ impl Device {
     /// Functionally execute a `parallel_safe` launch ahead of scheduling,
     /// apply its global-memory effects, and return the launch's identity
     /// (for an attached trace recorder) with its per-block costs, indexed
-    /// by block.
+    /// by block, on the shards the device's strategy gives it.
     ///
     /// `None` means the launch cannot be pre-executed (some buffer's type
     /// has no dedicated slot variant, so the memory image can be neither
@@ -667,7 +715,6 @@ impl Device {
         block_threads: u32,
         order: &[u32],
         launch_id: u32,
-        jobs: usize,
     ) -> Option<(LaunchKey, Vec<BlockCost>)> {
         let grid = order.len() as u32;
         let key = LaunchKey {
@@ -678,7 +725,13 @@ impl Device {
             mem_fp: self.mem.fingerprint()?,
         };
         PRE_EXECUTED.fetch_add(1, Ordering::Relaxed);
-        let jobs = jobs.clamp(1, grid as usize);
+        let busy = match self.exec {
+            Some(ExecStrategy::PreExec { jobs }) => {
+                BusyThreads::claim(jobs.clamp(1, grid as usize))
+            }
+            _ => BusyThreads::claim_idle(grid),
+        };
+        let jobs = busy.0;
         if jobs == 1 {
             // One worker runs the grid in dispatch order against the live
             // image: the at-dispatch run itself, known to be recordable.
@@ -689,7 +742,9 @@ impl Device {
         // the pre-launch image and diffed against it. Under the
         // `parallel_safe` contract the shards' write sets are disjoint, so
         // the shard patches concatenated in shard order rebuild the serial
-        // post-state bit-for-bit.
+        // post-state bit-for-bit; each shard logs its reductions instead of
+        // applying them, and applying the patch folds every log after the
+        // writes, which integer add and max make order-independent.
         let cache_cfg = self.cfg.mem_model.cache().copied();
         let base = &self.mem;
         let shard = grid.div_ceil(jobs as u32);
@@ -701,6 +756,7 @@ impl Device {
                     let hi = ((j + 1) * shard).min(grid);
                     s.spawn(move || {
                         let mut m = base.try_clone().expect("fingerprinted image clones");
+                        m.defer_reductions();
                         let mut scratch = ExecScratch::default();
                         let costs = (lo..hi)
                             .map(|b| {
@@ -1286,6 +1342,109 @@ mod tests {
                 other.3.to_bits(),
                 "counters, variant {i}"
             );
+        }
+    }
+
+    /// Every block reduces into targets the other blocks reduce into:
+    /// eight histogram bins (`red_add_u32`) and one running maximum
+    /// (`red_max_u32`), next to a plain write of its own elements.
+    struct RedHist {
+        x: DevBuffer<u32>,
+        y: DevBuffer<u32>,
+        bins: DevBuffer<u32>,
+        top: DevBuffer<u32>,
+    }
+
+    impl Kernel for RedHist {
+        fn name(&self) -> &'static str {
+            "red_hist"
+        }
+        fn parallel_safe(&self) -> bool {
+            true
+        }
+        fn params(&self) -> Vec<u64> {
+            crate::kernel::ParamKey::new()
+                .buf(&self.x)
+                .buf(&self.y)
+                .buf(&self.bins)
+                .buf(&self.top)
+                .done()
+        }
+        fn run_block(&self, blk: &mut BlockCtx) {
+            let (x, y, bins, top) = (self.x, self.y, self.bins, self.top);
+            blk.for_each_thread(|t| {
+                let i = t.gtid() as usize;
+                let v = t.ld(&x, i);
+                t.st(&y, i, v.wrapping_mul(3));
+                t.red_add_u32(&bins, (v % 8) as usize, v);
+                t.red_max_u32(&top, 0, v);
+            });
+        }
+    }
+
+    #[test]
+    fn reductions_are_bit_identical_at_every_strategy_and_record() {
+        let n = 4096usize;
+        let xs: Vec<u32> = (0..n as u32)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        let run = |strategy: Option<ExecStrategy>| {
+            let mut dev = device();
+            if let Some(s) = strategy {
+                dev.set_exec_strategy(s);
+            }
+            let rec = Arc::new(crate::trace::TraceRecorder::new());
+            dev.set_trace_recorder(rec.clone());
+            let x = dev.alloc_from(&xs);
+            let y = dev.alloc_init::<u32>(n, 0);
+            let bins = dev.alloc_init::<u32>(8, 0);
+            let top = dev.alloc_init::<u32>(1, 0);
+            let s = dev.launch(&RedHist { x, y, bins, top }, 32, 128).clone();
+            let image = [dev.read(&y), dev.read(&bins), dev.read(&top)];
+            let costs = rec.finish().map(|t| t.launches[0].costs.clone());
+            let stats = (s.duration_s.to_bits(), s.energy_j.to_bits(), s.counters);
+            (image, stats, costs)
+        };
+        let (image, stats, costs) = run(Some(ExecStrategy::AtDispatch));
+        assert!(
+            costs.is_none(),
+            "a launch run at dispatch is not recordable"
+        );
+        let mut bins = [0u32; 8];
+        for &v in &xs {
+            bins[(v % 8) as usize] = bins[(v % 8) as usize].wrapping_add(v);
+        }
+        assert_eq!(image[1], bins);
+        assert_eq!(image[2], [*xs.iter().max().unwrap()]);
+        assert_eq!(stats.2.atomics, 2.0 * n as f64, "a red costs an atomic");
+        let serial = run(Some(ExecStrategy::PreExec { jobs: 1 }));
+        for (label, other) in [
+            ("jobs 1", serial.clone()),
+            ("jobs 3", run(Some(ExecStrategy::PreExec { jobs: 3 }))),
+            ("process default", run(None)),
+        ] {
+            assert_eq!(other.0, image, "memory, {label}");
+            assert_eq!(other.1, stats, "duration, energy and counters, {label}");
+            assert!(other.2.is_some(), "{label}: the launch records");
+            assert_eq!(other.2, serial.2, "recorded block costs, {label}");
+        }
+    }
+
+    #[test]
+    fn shard_count_takes_only_idle_cores() {
+        // (requested, cores, busy, grid) -> shards
+        for (case, want) in [
+            ((2, 2, 0, 64), 2),  // a lone launch gets every core
+            ((2, 2, 1, 64), 1),  // another thread runs blocks
+            ((2, 2, 3, 64), 1),  // oversubscribed: still one
+            ((8, 4, 1, 64), 3),  // the idle cores, below the request
+            ((1, 16, 0, 64), 1), // `--jobs 1`
+            ((3, 16, 0, 64), 3), // `--jobs` caps
+            ((16, 16, 0, 5), 5), // at most one per block
+            ((4, 4, 0, 1), 1),
+        ] {
+            let (requested, cores, busy, grid) = case;
+            assert_eq!(shard_count(requested, cores, busy, grid), want, "{case:?}");
         }
     }
 

@@ -2,8 +2,8 @@
 //! [`crate::access`] observation stream.
 //!
 //! A kernel may describe, per block, which elements of which device buffers
-//! it reads, writes, or updates atomically — as a set of arithmetic
-//! progressions ([`Span`]s) over element indices. The declaration is
+//! it reads, writes, updates atomically or reduces into — as a set of
+//! arithmetic progressions ([`Span`]s) over element indices. The declaration is
 //! *concrete*: [`KernelFootprint::per_block`] evaluates ordinary Rust per
 //! block index, so 2-D decompositions, wavefronts and ping-pong launches
 //! all express naturally without a symbolic affine language.
@@ -12,7 +12,8 @@
 //!
 //! * the **disjointness prover** (`sim-analyze`) statically verifies
 //!   clauses 1–2 of the [`crate::Kernel::parallel_safe`] contract from the
-//!   declared spans (no cross-block read-after-write, no global atomics);
+//!   declared spans (no cross-block read-after-write, no value-returning
+//!   global atomics, reduction targets touched by nothing else);
 //! * the **footprint observer** (`sim-sanitizer`) dynamically checks that
 //!   every observed access falls inside the declaration, so a declaration
 //!   is never silently wrong.
@@ -37,6 +38,10 @@ pub enum FpKind {
     /// Atomic read-modify-write. Any declared atomic makes the launch
     /// unprovable under clause 2, but keeps the dynamic witness exact.
     Atomic,
+    /// Reduction (`red`): an integer update that returns nothing. Blocks
+    /// may reduce into the same elements, which clause 2 allows as long
+    /// as no block reads or writes those elements otherwise.
+    Reduce,
 }
 
 /// An arithmetic progression of element indices:
@@ -199,7 +204,8 @@ pub struct BlockFootprint {
 }
 
 impl BlockFootprint {
-    /// Declared bytes moved by this block (reads + writes + atomics).
+    /// Declared bytes moved by this block (reads + writes + atomics +
+    /// reductions).
     pub fn bytes(&self) -> f64 {
         self.accesses
             .iter()
@@ -305,6 +311,17 @@ impl FpBuilder {
     pub fn atomic_all<T>(&mut self, buf: &DevBuffer<T>) {
         let len = buf.len() as u64;
         self.push(BufRef::of(buf), FpKind::Atomic, Span::range(0, len));
+    }
+
+    pub fn reduce<T>(&mut self, buf: &DevBuffer<T>, span: Span) {
+        self.push(BufRef::of(buf), FpKind::Reduce, span);
+    }
+
+    /// Declare a reduction anywhere in the buffer (data-dependent targets,
+    /// e.g. histogram bins).
+    pub fn reduce_all<T>(&mut self, buf: &DevBuffer<T>) {
+        let len = buf.len() as u64;
+        self.push(BufRef::of(buf), FpKind::Reduce, Span::range(0, len));
     }
 
     /// Declare a write that may land anywhere in the buffer (data-dependent

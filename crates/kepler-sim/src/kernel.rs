@@ -70,8 +70,12 @@ pub trait Kernel: Sync {
     ///
     /// 1. no block reads a location that another block of the same launch
     ///    writes (reading your *own* earlier writes is fine);
-    /// 2. no global atomics (an atomic is a read-modify-write, and
-    ///    floating-point accumulation makes the result order-dependent);
+    /// 2. no value-returning global atomics, and a `red` target
+    ///    ([`crate::ThreadCtx::red_add_u32`], [`crate::ThreadCtx::red_max_u32`])
+    ///    is not otherwise read or written in the launch (an atomic's old
+    ///    value depends on which blocks ran before it; a `red` returns
+    ///    nothing, and integer add and max reach the same value in any
+    ///    order, so shards may log their reductions and fold them later);
     /// 3. `run_block` is a pure function of the kernel's parameters, the
     ///    launch geometry and the pre-launch memory image — no interior
     ///    mutability, I/O or other hidden state.

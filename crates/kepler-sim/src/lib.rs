@@ -16,9 +16,9 @@
 //! * **Functional layer** — kernels implement [`kernel::Kernel`] and run
 //!   their *real algorithm* on typed device buffers via a CUDA-like API
 //!   ([`block::BlockCtx`] / [`block::ThreadCtx`]): global loads/stores,
-//!   atomics, shared memory, and per-class compute ops. Results are read
-//!   back and validated by tests, so the traces that drive the timing model
-//!   come from genuine computation.
+//!   atomics and reductions, shared memory, and per-class compute ops.
+//!   Results are read back and validated by tests, so the traces that drive
+//!   the timing model come from genuine computation.
 //! * **Warp layer** — each warp's 32 per-thread op streams are aligned into
 //!   warp instructions: inactive lanes are branch divergence, global-memory
 //!   slots run segment coalescing, shared slots run bank-conflict analysis,

@@ -9,8 +9,9 @@
 //! Three analyses:
 //!
 //! - **Disjointness prover** ([`prover`]): verifies clauses 1–2 of the
-//!   `parallel_safe` contract — per-buffer write-privacy across blocks and
-//!   absence of global atomics — with two exact engines (element map for
+//!   `parallel_safe` contract — per-buffer write-privacy across blocks, no
+//!   value-returning global atomics, and reduction targets that nothing
+//!   else reads or writes — with two exact engines (element map for
 //!   small footprints, interval/stride sweep with a pair budget for large
 //!   ones). A blown budget is a sound *refusal*, never a wrong `Provable`.
 //! - **Launch-configuration lints** ([`lints`]): block size not a warp

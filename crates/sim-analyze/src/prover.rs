@@ -2,14 +2,18 @@
 //! [`kepler_sim::Kernel::parallel_safe`] contract from a declared
 //! [`KernelFootprint`].
 //!
-//! * **Clause 2** (no global atomics) is syntactic: any declared
-//!   [`FpKind::Atomic`] span refutes it.
+//! * **Clause 2** (no value-returning atomics; a reduction target is not
+//!   otherwise read or written) has a syntactic half — any declared
+//!   [`FpKind::Atomic`] span refutes it — and a disjointness half: every
+//!   element of an [`FpKind::Reduce`] span is touched by no read or write
+//!   of *any* block, the reducing block's own included. Reductions into
+//!   the same element from many blocks are the point and never conflict.
 //! * **Clause 1** (no cross-block read-after-write) is proven by showing
 //!   the stronger property that every element *written* by some block is
 //!   touched by **no other block at all** — neither written (order would
 //!   matter) nor read (a cross-block RAW/WAR). Reads of buffers the launch
-//!   never writes are ignored: they cannot participate in a hazard, which
-//!   is what makes sound over-approximations like
+//!   never writes or reduces into are ignored: they cannot participate in
+//!   a hazard, which is what makes sound over-approximations like
 //!   [`kepler_sim::FpBuilder::read_all`] free.
 //!
 //! Two exact engines back the check, picked by declared size:
@@ -36,8 +40,9 @@ pub const PAIR_TEST_BUDGET: u64 = 4_000_000;
 /// The prover's answer for one launch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
-    /// Clauses 1–2 hold: no declared atomics, and every written element is
-    /// private to its writer block.
+    /// Clauses 1–2 hold: no declared atomics, every written element is
+    /// private to its writer block, and every reduced element is only
+    /// reduced into.
     Provable,
     /// A refutation or a refusal; the string says which and where.
     Unprovable(String),
@@ -61,8 +66,19 @@ impl Verdict {
 #[derive(Debug, Clone, Copy)]
 struct Item {
     block: u32,
-    write: bool,
+    kind: FpKind,
     span: Span,
+}
+
+/// Whether two accesses `(block, kind)` to a common element break the
+/// contract: a reduction against any read or write (clause 2, within one
+/// block too), or two blocks of which at least one writes (clause 1).
+fn conflicting((ab, ak): (u32, FpKind), (bb, bk): (u32, FpKind)) -> bool {
+    match (ak == FpKind::Reduce, bk == FpKind::Reduce) {
+        (true, true) => false,
+        (true, false) | (false, true) => true,
+        (false, false) => ab != bb && (ak == FpKind::Write || bk == FpKind::Write),
+    }
 }
 
 /// Prove clauses 1–2 with the default budgets.
@@ -86,16 +102,16 @@ pub fn prove_footprint_with(fp: &KernelFootprint, exact_budget: u64, pair_budget
         }
     }
 
-    // Clause 1: group spans by buffer, keep only buffers with a write.
+    // Clause 1 and clause 2's reductions: group spans by buffer, keep only
+    // buffers the launch writes or reduces into.
     let mut by_buf: HashMap<u32, Vec<Item>> = HashMap::new();
-    let mut written: HashMap<u32, bool> = HashMap::new();
+    let mut updated: HashMap<u32, bool> = HashMap::new();
     for (b, blk) in fp.blocks.iter().enumerate() {
         for a in &blk.accesses {
-            let write = a.kind == FpKind::Write;
-            *written.entry(a.buf.id).or_default() |= write;
+            *updated.entry(a.buf.id).or_default() |= a.kind != FpKind::Read;
             by_buf.entry(a.buf.id).or_default().push(Item {
                 block: b as u32,
-                write,
+                kind: a.kind,
                 span: a.span,
             });
         }
@@ -105,7 +121,7 @@ pub fn prove_footprint_with(fp: &KernelFootprint, exact_budget: u64, pair_budget
     let mut buf_ids: Vec<u32> = by_buf.keys().copied().collect();
     buf_ids.sort_unstable();
     for id in buf_ids {
-        if !written[&id] {
+        if !updated[&id] {
             continue; // read-only this launch: no hazard possible
         }
         let items = &mut by_buf.get_mut(&id).unwrap()[..];
@@ -122,26 +138,27 @@ pub fn prove_footprint_with(fp: &KernelFootprint, exact_budget: u64, pair_budget
     Verdict::Provable
 }
 
-/// Element-map engine: enumerate every declared element of one written
-/// buffer and look for a cross-block conflict involving a write.
+/// Element-map engine: enumerate every declared element of one written or
+/// reduced buffer and look for a conflicting pair of accesses.
 fn prove_buffer_exact(id: u32, items: &[Item]) -> Verdict {
-    // index -> (owner block, owner ever wrote it)
+    // index -> (owner block, owner ever wrote it), over reads and writes
     let mut owner: HashMap<u64, (u32, bool)> = HashMap::new();
-    // Writes first so reads are checked against the full write set.
-    for pass_writes in [true, false] {
-        for it in items.iter().filter(|i| i.write == pass_writes) {
+    // Writes first so reads are checked against the full write set, and
+    // reductions last, against every read and write.
+    for pass in [FpKind::Write, FpKind::Read, FpKind::Reduce] {
+        for it in items.iter().filter(|i| i.kind == pass) {
             for idx in it.span.iter() {
-                match owner.get_mut(&idx) {
-                    None => {
-                        owner.insert(idx, (it.block, it.write));
+                let Some((b, wrote)) = owner.get_mut(&idx) else {
+                    if pass != FpKind::Reduce {
+                        owner.insert(idx, (it.block, pass == FpKind::Write));
                     }
-                    Some((b, wrote)) => {
-                        if *b != it.block && (*wrote || it.write) {
-                            return conflict(id, idx, *b, it.block);
-                        }
-                        *wrote |= it.write;
-                    }
+                    continue;
+                };
+                let prior = (*b, if *wrote { FpKind::Write } else { FpKind::Read });
+                if conflicting(prior, (it.block, pass)) {
+                    return conflict(id, idx, prior, (it.block, pass));
                 }
+                *wrote |= pass == FpKind::Write;
             }
         }
     }
@@ -150,7 +167,7 @@ fn prove_buffer_exact(id: u32, items: &[Item]) -> Verdict {
 
 /// Interval/stride sweep engine: sort one buffer's spans by start index,
 /// keep the spans whose window is still open, and intersection-test each
-/// new span against open spans of other blocks when either side writes.
+/// new span against the open spans it would conflict with.
 fn prove_buffer_sweep(id: u32, items: &mut [Item], budget: u64, tests: &mut u64) -> Verdict {
     items.sort_by_key(|i| (i.span.start, i.block));
     // Open spans: (window end, item). Pruned as the sweep line passes.
@@ -158,7 +175,7 @@ fn prove_buffer_sweep(id: u32, items: &mut [Item], budget: u64, tests: &mut u64)
     for it in items.iter() {
         open.retain(|(end, _)| *end >= it.span.start);
         for (_, o) in &open {
-            if o.block == it.block || !(o.write || it.write) {
+            if !conflicting((o.block, o.kind), (it.block, it.kind)) {
                 continue;
             }
             *tests += 1;
@@ -175,7 +192,7 @@ fn prove_buffer_sweep(id: u32, items: &mut [Item], budget: u64, tests: &mut u64)
                     .iter()
                     .find(|&x| o.span.contains(x))
                     .unwrap_or(it.span.start);
-                return conflict(id, idx, o.block, it.block);
+                return conflict(id, idx, (o.block, o.kind), (it.block, it.kind));
             }
         }
         open.push((it.span.max_index(), *it));
@@ -183,37 +200,59 @@ fn prove_buffer_sweep(id: u32, items: &mut [Item], budget: u64, tests: &mut u64)
     Verdict::Provable
 }
 
-fn conflict(id: u32, idx: u64, a: u32, b: u32) -> Verdict {
+/// The refutation for conflicting accesses `(block, kind)` on element `idx`.
+fn conflict(id: u32, idx: u64, a: (u32, FpKind), b: (u32, FpKind)) -> Verdict {
+    let (reducer, other) = match (a.1, b.1) {
+        (FpKind::Reduce, _) => (a, b),
+        (_, FpKind::Reduce) => (b, a),
+        _ => {
+            return Verdict::Unprovable(format!(
+                "clause 1: blocks {} and {} overlap on buf{id} element {idx} with a write involved",
+                a.0, b.0
+            ))
+        }
+    };
+    let verb = if other.1 == FpKind::Write {
+        "writes"
+    } else {
+        "reads"
+    };
     Verdict::Unprovable(format!(
-        "clause 1: blocks {a} and {b} overlap on buf{id} element {idx} with a write involved"
+        "clause 2: block {} reduces into buf{id} element {idx}, which block {} {verb}",
+        reducer.0, other.0
     ))
 }
 
-/// Brute-force oracle: materialize every block's read/write element sets
-/// and apply the definition directly. Test-support; exported so the
-/// property tests and the documentation example can call it.
+/// Brute-force oracle: materialize every block's accesses per element and
+/// apply the definition directly. Test-support; exported so the property
+/// tests and the documentation example can call it.
 pub fn brute_force_disjoint(fp: &KernelFootprint) -> Verdict {
     if fp.has_atomics() {
         return Verdict::Unprovable("clause 2: atomics declared".into());
     }
-    // (buffer, index) -> set of (block, wrote)
-    let mut touch: HashMap<(u32, u64), Vec<(u32, bool)>> = HashMap::new();
+    // (buffer, index) -> every (block, kind) touching it
+    let mut touch: HashMap<(u32, u64), Vec<(u32, FpKind)>> = HashMap::new();
     for (b, blk) in fp.blocks.iter().enumerate() {
         for a in &blk.accesses {
             for idx in a.span.iter() {
                 touch
                     .entry((a.buf.id, idx))
                     .or_default()
-                    .push((b as u32, a.kind == FpKind::Write));
+                    .push((b as u32, a.kind));
             }
         }
     }
     for ((id, idx), who) in touch {
-        // Any element with a writer and a touch from another block refutes.
-        let Some(&(w, _)) = who.iter().find(|(_, wrote)| *wrote) else {
+        // A reduced element that anything reads or writes refutes.
+        let reducer = who.iter().find(|t| t.1 == FpKind::Reduce);
+        if let (Some(&r), Some(&p)) = (reducer, who.iter().find(|t| t.1 != FpKind::Reduce)) {
+            return conflict(id, idx, r, p);
+        }
+        // So does an element with a writer and a touch from another block.
+        let Some(&w) = who.iter().find(|t| t.1 == FpKind::Write) else {
             continue;
         };
-        if let Some(&(other, _)) = who.iter().find(|&&(b, _)| b != w) {
+        if let Some(&other) = who.iter().find(|t| t.0 != w.0) {
             return conflict(id, idx, w, other);
         }
     }
@@ -271,6 +310,59 @@ mod tests {
         });
         let v = prove_footprint(&fp);
         assert!(v.reason().unwrap().starts_with("clause 2"));
+    }
+
+    #[test]
+    fn targets_only_reduced_into_are_provable() {
+        let mut m = mem();
+        let input = m.alloc::<u32>(1024);
+        let bins = m.alloc::<u32>(32);
+        let best = m.alloc::<u32>(1);
+        // Every block reduces into every bin and into one shared maximum.
+        let fp = KernelFootprint::per_block(4, 1.0, |b, f| {
+            f.read(&input, Span::range(b as u64 * 256, 256));
+            f.reduce_all(&bins);
+            f.reduce(&best, Span::point(0));
+        });
+        assert_eq!(prove_footprint(&fp), Verdict::Provable);
+        assert_eq!(
+            prove_footprint_with(&fp, 0, PAIR_TEST_BUDGET),
+            Verdict::Provable
+        );
+        assert_eq!(brute_force_disjoint(&fp), Verdict::Provable);
+    }
+
+    #[test]
+    fn reduce_targets_read_or_written_by_any_block_refute() {
+        let mut m = mem();
+        let bins = m.alloc::<u32>(32);
+        // (block with the extra access, its kind): another block's read,
+        // another block's write, and the reducing block's own read/write.
+        for (extra_block, write) in [(3, false), (3, true), (0, false), (0, true)] {
+            let fp = KernelFootprint::per_block(4, 1.0, |b, f| {
+                if b == 0 {
+                    f.reduce(&bins, Span::range(8, 8));
+                }
+                if b == extra_block {
+                    if write {
+                        f.write(&bins, Span::point(15));
+                    } else {
+                        f.read(&bins, Span::range(15, 4));
+                    }
+                }
+            });
+            for v in [
+                prove_footprint(&fp),
+                prove_footprint_with(&fp, 0, PAIR_TEST_BUDGET),
+                brute_force_disjoint(&fp),
+            ] {
+                let reason = v
+                    .reason()
+                    .unwrap_or_else(|| panic!("block {extra_block} write {write}: proved {fp:?}"));
+                assert!(reason.starts_with("clause 2"), "{reason}");
+                assert!(reason.contains("element 15"), "{reason}");
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@ use proptest::prelude::*;
 use sim_analyze::prover::{brute_force_disjoint, prove_footprint, prove_footprint_with};
 
 /// One randomized declared access: `(block, buffer slot, kind, start,
-/// count, stride)`. Kind 0..=6 reads, 7..=8 writes, 9 atomics — reads
-/// dominate so provable and unprovable cases both occur often.
+/// count, stride)`. Kind 0..=6 reads, 7..=8 writes, 9 atomics, 10..=11
+/// reductions — reads dominate so provable and unprovable cases both occur
+/// often.
 type RawAccess = (u32, u8, u8, u64, u64, u64);
 
 fn build(grid: u32, accesses: &[RawAccess]) -> KernelFootprint {
@@ -29,7 +30,8 @@ fn build(grid: u32, accesses: &[RawAccess]) -> KernelFootprint {
             match kind {
                 0..=6 => f.read(buf, span),
                 7 | 8 => f.write(buf, span),
-                _ => f.atomic(buf, span),
+                9 => f.atomic(buf, span),
+                _ => f.reduce(buf, span),
             }
         }
     })
@@ -40,7 +42,7 @@ proptest! {
     fn engines_agree_with_brute_force(
         grid in 1u32..=16,
         accesses in proptest::collection::vec(
-            (0u32..16, 0u8..3, 0u8..10, 0u64..64, 1u64..8, 1u64..6),
+            (0u32..16, 0u8..3, 0u8..12, 0u64..64, 1u64..8, 1u64..6),
             0..12,
         ),
     ) {

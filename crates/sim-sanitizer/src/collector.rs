@@ -439,6 +439,7 @@ impl Sanitizer {
                     AccessKind::Read => "read",
                     AccessKind::Write => "write",
                     AccessKind::Atomic => "atomic",
+                    AccessKind::Reduce => "reduction",
                 };
                 st.record(
                     Checker::OutOfBounds,
@@ -462,7 +463,9 @@ impl Sanitizer {
                     let (word, bit) = ((a.index / 64) as usize, a.index % 64);
                     let written = bits[word] & (1 << bit) != 0;
                     match a.kind {
-                        AccessKind::Write | AccessKind::Atomic => bits[word] |= 1 << bit,
+                        AccessKind::Write | AccessKind::Atomic | AccessKind::Reduce => {
+                            bits[word] |= 1 << bit
+                        }
                         AccessKind::Read => {}
                     }
                     if !written && a.kind == AccessKind::Read && self.checks.on(Checker::UninitRead)
@@ -526,7 +529,7 @@ before any write (buffer came from alloc, not alloc_init)"
                 }
                 entry.writer = Some(a.tid);
             }
-            AccessKind::Atomic => {
+            AccessKind::Atomic | AccessKind::Reduce => {
                 if let Some(w) = other(entry.writer) {
                     hazard = Some((ATOMIC_PLAIN, w));
                 } else if let Some(r) = other(entry.reader) {
@@ -570,7 +573,7 @@ in the same barrier epoch ({phase}) with no ordering"
                     }
                     cross.writes.add(a.block);
                 }
-                AccessKind::Atomic => {
+                AccessKind::Atomic | AccessKind::Reduce => {
                     if cross.writes.other_than(a.block) {
                         hazard = Some((ATOMIC_PLAIN, "plain write"));
                     } else if cross.reads.other_than(a.block) {

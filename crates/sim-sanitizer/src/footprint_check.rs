@@ -12,7 +12,13 @@
 //!
 //! * a plain read must be covered by a declared read or atomic span,
 //! * a plain write by a declared write or atomic span,
-//! * an atomic by a declared atomic span.
+//! * an atomic by a declared atomic span,
+//! * a reduction by a declared reduce span.
+//!
+//! A reduce span covers reductions and nothing else, so a read, a write
+//! or a value-returning atomic of a declared reduction target is caught:
+//! the prover's clause-2 proof that nothing else touches the target holds
+//! only while the run agrees.
 //!
 //! Launches without a declared footprint are skipped (and counted);
 //! out-of-bounds accesses are left to the sanitizer's own checker.
@@ -34,6 +40,7 @@ struct DeclaredSpans {
     reads: Vec<Span>,
     writes: Vec<Span>,
     atomics: Vec<Span>,
+    reductions: Vec<Span>,
 }
 
 impl DeclaredSpans {
@@ -42,6 +49,7 @@ impl DeclaredSpans {
             AccessKind::Read => (&self.reads, &self.atomics),
             AccessKind::Write => (&self.writes, &self.atomics),
             AccessKind::Atomic => (&self.atomics, &[]),
+            AccessKind::Reduce => (&self.reductions, &[]),
         };
         primary.iter().any(|s| s.contains(idx)) || fallback.iter().any(|s| s.contains(idx))
     }
@@ -76,6 +84,7 @@ impl FootprintMismatch {
             AccessKind::Read => "read",
             AccessKind::Write => "write",
             AccessKind::Atomic => "atomic",
+            AccessKind::Reduce => "reduction",
         };
         format!(
             "{}: observed {kind} of buf{} element {} from block {} outside the declared \
@@ -154,6 +163,7 @@ fn index_footprint(fp: &KernelFootprint) -> Vec<HashMap<u32, DeclaredSpans>> {
                     FpKind::Read => d.reads.push(a.span),
                     FpKind::Write => d.writes.push(a.span),
                     FpKind::Atomic => d.atomics.push(a.span),
+                    FpKind::Reduce => d.reductions.push(a.span),
                 }
             }
             by_buf
@@ -331,9 +341,9 @@ mod tests {
         // (atomics read and write), but a plain-write span never covers an
         // observed atomic.
         let d = DeclaredSpans {
-            reads: vec![],
             writes: vec![Span::range(0, 4)],
             atomics: vec![Span::point(9)],
+            ..DeclaredSpans::default()
         };
         assert!(d.covers(AccessKind::Read, 9));
         assert!(d.covers(AccessKind::Write, 9));
@@ -341,5 +351,89 @@ mod tests {
         assert!(!d.covers(AccessKind::Atomic, 3));
         assert!(d.covers(AccessKind::Atomic, 9));
         assert!(!d.covers(AccessKind::Read, 3));
+    }
+
+    #[test]
+    fn reduce_spans_cover_reductions_only() {
+        let d = DeclaredSpans {
+            reductions: vec![Span::range(0, 4)],
+            ..DeclaredSpans::default()
+        };
+        assert!(d.covers(AccessKind::Reduce, 3));
+        assert!(!d.covers(AccessKind::Reduce, 4));
+        for kind in [AccessKind::Read, AccessKind::Write, AccessKind::Atomic] {
+            assert!(!d.covers(kind, 3), "{kind:?}");
+        }
+    }
+
+    /// Every thread adds one into bin `tid % 4`, by `red` or by a
+    /// value-returning atomic; the footprint declares `declared` bins as a
+    /// reduce span.
+    struct Bins {
+        bins: DevBuffer<u32>,
+        declared: u64,
+        atomic: bool,
+    }
+
+    impl Kernel for Bins {
+        fn name(&self) -> &'static str {
+            "fo_bins"
+        }
+        fn footprint(&self, grid: u32, _block_threads: u32) -> Option<KernelFootprint> {
+            let k = self;
+            Some(KernelFootprint::per_block(grid, 0.0, move |_b, fp| {
+                fp.reduce(&k.bins, Span::range(0, k.declared));
+            }))
+        }
+        fn run_block(&self, blk: &mut BlockCtx) {
+            let (bins, atomic) = (self.bins, self.atomic);
+            blk.for_each_thread(|t| {
+                let b = (t.tid() % 4) as usize;
+                if atomic {
+                    t.atomic_add_u32(&bins, b, 1);
+                } else {
+                    t.red_add_u32(&bins, b, 1);
+                }
+            });
+        }
+    }
+
+    fn run_bins(declared: u64, atomic: bool) -> Vec<FootprintMismatch> {
+        let mut dev = device();
+        let obs = Arc::new(FootprintObserver::new());
+        dev.set_access_observer(obs.clone());
+        dev.set_launch_inspector(obs.clone());
+        let bins = dev.alloc_init::<u32>(4, 0);
+        let k = Bins {
+            bins,
+            declared,
+            atomic,
+        };
+        dev.launch(&k, 2, 32);
+        assert_eq!(dev.read(&bins), [16; 4], "observation changes no result");
+        obs.mismatches()
+    }
+
+    #[test]
+    fn reductions_inside_their_span_are_clean() {
+        assert_eq!(run_bins(4, false), []);
+    }
+
+    #[test]
+    fn a_reduction_outside_its_span_is_flagged() {
+        let ms = run_bins(3, false);
+        assert_eq!(ms.len(), 1, "{ms:?}");
+        assert_eq!(
+            (ms[0].kind, ms[0].index, ms[0].count),
+            (AccessKind::Reduce, 3, 16)
+        );
+        assert!(ms[0].render().contains("observed reduction"));
+    }
+
+    #[test]
+    fn a_value_returning_atomic_on_a_reduce_span_is_flagged() {
+        let ms = run_bins(4, true);
+        assert_eq!(ms.len(), 1, "{ms:?}");
+        assert_eq!((ms[0].kind, ms[0].count), (AccessKind::Atomic, 64));
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::bench::{BenchSpec, Benchmark, InputSpec, RunOutput, Suite};
 use crate::inputs::points::sky_points;
-use kepler_sim::{BlockCtx, DevBuffer, Device, Kernel, KernelFootprint, LaunchOpts};
+use kepler_sim::{BlockCtx, DevBuffer, Device, Kernel, KernelFootprint, LaunchOpts, ParamKey};
 
 const BLOCK: u32 = 128;
 const NUM_BINS: usize = 32;
@@ -24,6 +24,16 @@ fn bin_of(dot: f32) -> usize {
 }
 
 impl Kernel for TpacfKernel {
+    fn parallel_safe(&self) -> bool {
+        true
+    }
+    fn params(&self) -> Vec<u64> {
+        ParamKey::new()
+            .buf(&self.xyz)
+            .buf(&self.bins)
+            .u(self.n as u64)
+            .done()
+    }
     fn name(&self) -> &'static str {
         "tpacf_histogram"
     }
@@ -35,7 +45,7 @@ impl Kernel for TpacfKernel {
         Some(KernelFootprint::per_block(grid, ops, |_b, fp| {
             // Thread i pairs with every j > i: effectively the whole sky.
             fp.read_all(&k.xyz);
-            fp.atomic_all(&k.bins);
+            fp.reduce_all(&k.bins);
         }))
     }
     fn run_block(&self, blk: &mut BlockCtx) {
@@ -66,14 +76,14 @@ impl Kernel for TpacfKernel {
             t.smem(2 * m);
             t.int_op(3 * m);
         });
-        // Flush the block-local histogram with atomics.
+        // Flush the block-local histogram with reductions.
         blk.for_each_thread(|t| {
             let b = t.tid() as usize;
             if b < NUM_BINS {
                 let v = t.shared_get(&local, b);
                 t.smem(1);
                 if v > 0 {
-                    t.atomic_add_u32(&k.bins, b, v);
+                    t.red_add_u32(&k.bins, b, v);
                 }
             }
         });

@@ -7,7 +7,9 @@
 
 use crate::bench::{BenchSpec, Benchmark, InputSpec, ItemCounts, RunOutput, Suite};
 use crate::inputs::sequences::{queries, reference};
-use kepler_sim::{BlockCtx, DevBuffer, Device, Kernel, LaunchOpts};
+use kepler_sim::{
+    BlockCtx, DevBuffer, Device, Kernel, KernelFootprint, LaunchOpts, ParamKey, Span,
+};
 
 const BLOCK: u32 = 128;
 
@@ -22,8 +24,40 @@ struct MatchKernel {
 }
 
 impl Kernel for MatchKernel {
+    fn parallel_safe(&self) -> bool {
+        true
+    }
+    fn params(&self) -> Vec<u64> {
+        ParamKey::new()
+            .buf(&self.reference)
+            .buf(&self.suffix_array)
+            .buf(&self.queries)
+            .buf(&self.match_len)
+            .u(self.ref_len as u64)
+            .u(self.query_len as u64)
+            .u(self.num_queries as u64)
+            .done()
+    }
     fn name(&self) -> &'static str {
         "mummer_match"
+    }
+    fn footprint(&self, grid: u32, block_threads: u32) -> Option<KernelFootprint> {
+        let k = self;
+        let dim = block_threads as u64;
+        let len = k.query_len as u64;
+        // At most: a binary search of log2(ref_len) steps plus the two
+        // neighbors, each comparing up to the whole query at 3 int ops a
+        // character.
+        let probes = (usize::BITS - k.ref_len.leading_zeros()) as f64 + 2.0;
+        let ops = probes * 3.0 * (len * dim) as f64;
+        Some(KernelFootprint::per_block(grid, ops, |b, fp| {
+            let first = b as u64 * dim;
+            // The search walks the whole index and reference.
+            fp.read_all(&k.suffix_array);
+            fp.read_all(&k.reference);
+            fp.read(&k.queries, Span::range(first * len, dim * len));
+            fp.write(&k.match_len, Span::range(first, dim));
+        }))
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let k = self;

@@ -4,7 +4,9 @@
 
 use crate::bench::{BenchSpec, Benchmark, InputSpec, RunOutput, Suite};
 use crate::inputs::points::lattice_atoms;
-use kepler_sim::{BlockCtx, DevBuffer, Device, Kernel, LaunchOpts};
+use kepler_sim::{
+    BlockCtx, DevBuffer, Device, Kernel, KernelFootprint, LaunchOpts, ParamKey, Span,
+};
 
 const BLOCK: u32 = 128;
 const EPS: f32 = 1.0;
@@ -19,8 +21,34 @@ struct LjKernel {
 }
 
 impl Kernel for LjKernel {
+    fn parallel_safe(&self) -> bool {
+        true
+    }
+    fn params(&self) -> Vec<u64> {
+        ParamKey::new()
+            .buf(&self.xyz)
+            .buf(&self.neigh)
+            .buf(&self.force)
+            .u(self.n as u64)
+            .u(self.max_neigh as u64)
+            .done()
+    }
     fn name(&self) -> &'static str {
         "md_lj_force"
+    }
+    fn footprint(&self, grid: u32, block_threads: u32) -> Option<KernelFootprint> {
+        let k = self;
+        let dim = block_threads as u64;
+        let slots = k.max_neigh as u64;
+        // At most 26 ops per neighbor: 10 fma, 4 mul and 2 sfu.
+        let ops = 26.0 * (slots * dim) as f64;
+        Some(KernelFootprint::per_block(grid, ops, |b, fp| {
+            let first = b as u64 * dim;
+            // Neighbors are scattered over the whole box.
+            fp.read_all(&k.xyz);
+            fp.read(&k.neigh, Span::range(first * slots, dim * slots));
+            fp.write(&k.force, Span::range(3 * first, 3 * dim));
+        }))
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let k = self;

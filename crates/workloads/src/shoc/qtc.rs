@@ -2,11 +2,15 @@
 //! point proposes the cluster of all points within the quality threshold
 //! of itself; the largest proposal wins and its members are removed.
 //! Quadratic candidate scans with shrinking point sets and a global
-//! argmax reduction per round — divergent and reduction-heavy.
+//! argmax reduction per round — divergent and reduction-heavy. Each kernel
+//! writes only its own points' elements and the argmax is a `red.max`, so
+//! every launch is `parallel_safe`.
 
 use crate::bench::{BenchSpec, Benchmark, InputSpec, RunOutput, Suite};
 use crate::inputs::util::f32_vec;
-use kepler_sim::{BlockCtx, DevBuffer, Device, Kernel, LaunchOpts};
+use kepler_sim::{
+    BlockCtx, DevBuffer, Device, Kernel, KernelFootprint, LaunchOpts, ParamKey, Span,
+};
 
 const BLOCK: u32 = 128;
 
@@ -18,8 +22,31 @@ struct CountKernel {
     thr2: f32,
 }
 impl Kernel for CountKernel {
+    fn parallel_safe(&self) -> bool {
+        true
+    }
+    fn params(&self) -> Vec<u64> {
+        ParamKey::new()
+            .buf(&self.xy)
+            .buf(&self.clustered)
+            .buf(&self.counts)
+            .u(self.n as u64)
+            .f(self.thr2)
+            .done()
+    }
     fn name(&self) -> &'static str {
         "qtc_count"
+    }
+    fn footprint(&self, grid: u32, block_threads: u32) -> Option<KernelFootprint> {
+        let k = self;
+        let dim = block_threads as u64;
+        // Each point tests every point: two fma and a compare per pair.
+        let ops = 5.0 * k.n as f64 * dim as f64;
+        Some(KernelFootprint::per_block(grid, ops, |b, fp| {
+            fp.read_all(&k.xy);
+            fp.read_all(&k.clustered);
+            fp.write(&k.counts, Span::range(b as u64 * dim, dim));
+        }))
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let k = self;
@@ -51,16 +78,38 @@ impl Kernel for CountKernel {
     }
 }
 
-/// Global argmax over candidate counts (packed value<<16|index atomicMax;
-/// index inverted so ties break to the lowest index).
+/// Global argmax over candidate counts (packed value<<16|index max
+/// reduction; index inverted so ties break to the lowest index).
 struct ArgmaxKernel {
     counts: DevBuffer<u32>,
     best: DevBuffer<u32>,
     n: usize,
 }
 impl Kernel for ArgmaxKernel {
+    fn parallel_safe(&self) -> bool {
+        true
+    }
+    fn params(&self) -> Vec<u64> {
+        ParamKey::new()
+            .buf(&self.counts)
+            .buf(&self.best)
+            .u(self.n as u64)
+            .done()
+    }
     fn name(&self) -> &'static str {
         "qtc_reduce"
+    }
+    fn footprint(&self, grid: u32, block_threads: u32) -> Option<KernelFootprint> {
+        let k = self;
+        let dim = block_threads as u64;
+        Some(KernelFootprint::per_block(
+            grid,
+            3.0 * dim as f64,
+            |b, fp| {
+                fp.read(&k.counts, Span::range(b as u64 * dim, dim));
+                fp.reduce(&k.best, Span::point(0));
+            },
+        ))
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let k = self;
@@ -72,7 +121,7 @@ impl Kernel for ArgmaxKernel {
             let c = t.ld(&k.counts, i);
             t.int_op(3);
             let packed = (c << 16) | (0xFFFF - i as u32);
-            t.atomic_max_u32(&k.best, 0, packed);
+            t.red_max_u32(&k.best, 0, packed);
         });
     }
 }
@@ -86,8 +135,36 @@ struct RemoveKernel {
     round: u32,
 }
 impl Kernel for RemoveKernel {
+    fn parallel_safe(&self) -> bool {
+        true
+    }
+    fn params(&self) -> Vec<u64> {
+        ParamKey::new()
+            .buf(&self.xy)
+            .buf(&self.clustered)
+            .u(self.n as u64)
+            .u(self.center as u64)
+            .f(self.thr2)
+            .u(self.round as u64)
+            .done()
+    }
     fn name(&self) -> &'static str {
         "qtc_remove"
+    }
+    fn footprint(&self, grid: u32, block_threads: u32) -> Option<KernelFootprint> {
+        let k = self;
+        let dim = block_threads as u64;
+        Some(KernelFootprint::per_block(
+            grid,
+            5.0 * dim as f64,
+            |b, fp| {
+                let own = Span::range(b as u64 * dim, dim);
+                // A point's own position and the center's.
+                fp.read_all(&k.xy);
+                fp.read(&k.clustered, own);
+                fp.write(&k.clustered, own);
+            },
+        ))
     }
     fn run_block(&self, blk: &mut BlockCtx) {
         let k = self;

@@ -1,17 +1,21 @@
-//! Serial-vs-parallel equivalence: every regular workload must produce a
-//! bit-identical outcome whether its kernels execute at dispatch time
-//! (the simulator's reference semantics), are pre-executed serially, or
-//! are pre-executed sharded across worker threads — and that must hold
-//! under more than one clock configuration AND under both memory models
-//! (the per-block cache simulation keeps every block cost a pure function
-//! of its own access stream; see `docs/MEMORY.md`). Replaying a recorded
-//! trace under a foreign configuration is covered by `characterize`'s
-//! `trace_equivalence` suite.
+//! Serial-vs-parallel equivalence: every regular workload, and every
+//! irregular one whose kernels opt into `parallel_safe` (md, mum, qtc),
+//! must produce a bit-identical outcome whether its kernels execute at
+//! dispatch time (the simulator's reference semantics), are pre-executed
+//! serially, or are pre-executed sharded across worker threads — and that
+//! must hold under more than one clock configuration AND under both memory
+//! models (the per-block cache simulation keeps every block cost a pure
+//! function of its own access stream; see `docs/MEMORY.md`). Replaying a
+//! recorded trace under a foreign configuration is covered by
+//! `characterize`'s `trace_equivalence` suite.
 //!
-//! Benchmarks whose kernels use atomics never opt into `parallel_safe`,
-//! so for them every strategy degenerates to exec-at-dispatch; including
-//! them keeps the coverage statement simple ("every regular workload")
-//! and guards against a future opt-in that would violate the contract.
+//! Sharding matters most where blocks reduce into shared words (tpacf's
+//! bins and qtc's argmax): each shard logs its `red`s and the device folds
+//! them after the shard patches. Benchmarks whose kernels use
+//! value-returning atomics never opt into `parallel_safe`, so for them
+//! every strategy degenerates to exec-at-dispatch; including them keeps
+//! the coverage statement simple ("every regular workload") and guards
+//! against a future opt-in that would violate the contract.
 
 use kepler_sim::{CacheConfig, ClockConfig, Device, DeviceConfig, ExecStrategy, MemoryModel};
 use workloads::bench::{Benchmark, InputSpec};
@@ -46,6 +50,10 @@ fn small_input(key: &str) -> Option<InputSpec> {
         "mf" => (1024, 16, 0),
         "s2d" => (64, 2, 0),
         "st" => (4096, 0, 0),
+        // Irregular in Table 1, but every kernel opts in.
+        "md" => (512, 16, 0),
+        "mum" => (256, 25, 0),
+        "qtc" => (200, 0, 0),
         _ => return None,
     };
     let mut input = InputSpec::new("equiv", n, m, 0, 1.0);
@@ -113,11 +121,14 @@ fn every_regular_workload_is_strategy_invariant() {
     for (clocks, mem_model) in passes {
         for bench in &benches {
             let spec = bench.spec();
-            if !spec.regular {
+            let Some(input) = small_input(spec.key) else {
+                assert!(
+                    !spec.regular,
+                    "no small input for regular bench {:?}",
+                    spec.key
+                );
                 continue;
-            }
-            let input = small_input(spec.key)
-                .unwrap_or_else(|| panic!("no small input for regular bench {:?}", spec.key));
+            };
 
             // Reference semantics, then each pre-execution variant.
             let reference = outcome(
@@ -141,7 +152,7 @@ fn every_regular_workload_is_strategy_invariant() {
             covered += 1;
         }
     }
-    // 21 regular programs in Table 1, each checked under two clock
-    // configs (flat) plus the cache model.
-    assert_eq!(covered, 63, "regular-workload coverage changed");
+    // 21 regular programs in Table 1 plus md, mum and qtc, each checked
+    // under two clock configs (flat) plus the cache model.
+    assert_eq!(covered, 72, "workload coverage changed");
 }
